@@ -104,7 +104,15 @@ int FusedChain::Produce(ExecContext* ctx, size_t depth, const Row** src,
       }
       ++scan_->emitted_;
       ++scan_rows_;
-      *src = &row;
+      if (scan_->pruned_) {
+        // A pruned scan gathers its kept columns into a reused row: the
+        // batch slot when only pass-through levels sit above, else scratch.
+        Row* dst = top_dst != nullptr ? top_dst : &scan_scratch_;
+        scan_->GatherColumns(row, dst);
+        *src = dst;
+      } else {
+        *src = &row;
+      }
       return 1;
     }
     scan_->finished_ = true;

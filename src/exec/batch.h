@@ -6,7 +6,9 @@
 // then execute the whole chain inline, per output row, with no virtual
 // dispatch and no intermediate Row copies (levels hand a `const Row*` up the
 // chain; only a Project materializes, and the outermost Project writes
-// straight into the batch slot).
+// straight into the batch slot). A pruned scan leaf (SeqScan column list)
+// gathers its kept columns once, into the batch slot when only Filter/Limit
+// levels sit above it and into a reused scratch row otherwise.
 //
 // The kernel is an exact emulation of the tuple-at-a-time engine, not an
 // approximation of it. Per emulated DoNext call it preserves, in order:
@@ -113,6 +115,7 @@ class FusedChain {
   size_t scan_pred_col_ = 0;
   CompareOp scan_pred_op_ = CompareOp::kEq;
   const Value* scan_pred_lit_ = nullptr;
+  Row scan_scratch_;  // gather target of a pruned scan below a Project
 };
 
 }  // namespace qprog

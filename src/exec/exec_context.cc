@@ -47,14 +47,19 @@ bool ExecContext::ConsultFaultSlow(const char* site, int node_id) {
 }
 
 bool ExecContext::ChargeBufferedRows(uint64_t n) {
+  return ChargeAgainst(n, guard_ != nullptr ? guard_->max_buffered_rows()
+                                            : QueryGuard::kNoLimit);
+}
+
+bool ExecContext::ChargeAgainst(uint64_t n, uint64_t budget) {
   // Check-first: a failed charge leaves the account untouched, so operators
   // only ever release what they successfully charged.
   if (failed_) return false;
-  if (guard_ != nullptr && buffered_rows_ + n > guard_->max_buffered_rows()) {
+  if (buffered_rows_ + n > budget) {
     RaiseError(qprog::ResourceExhausted(StringPrintf(
         "buffered-row budget exceeded (%llu buffered > %llu allowed)",
         static_cast<unsigned long long>(buffered_rows_ + n),
-        static_cast<unsigned long long>(guard_->max_buffered_rows()))));
+        static_cast<unsigned long long>(budget))));
     return false;
   }
   buffered_rows_ += n;
@@ -73,10 +78,16 @@ ChargeVerdict ExecContext::ChargeBufferedRowsOrSpill(uint64_t n) {
           static_cast<unsigned long long>(guard_->max_buffered_rows_kill()))));
       return ChargeVerdict::kFailed;
     }
-    if (buffered_rows_ + n > guard_->max_buffered_rows()) {
+    // Read the soft budget once: a governor revocation may lower it from
+    // another thread at any moment, and a second read between the spill
+    // decision and the charge would abort a query that should have spilled.
+    const uint64_t budget = guard_->max_buffered_rows();
+    if (buffered_rows_ + n > budget) {
       // Not charged: the operator spills instead of buffering these rows.
       return ChargeVerdict::kSpill;
     }
+    return ChargeAgainst(n, budget) ? ChargeVerdict::kCharged
+                                    : ChargeVerdict::kFailed;
   }
   return ChargeBufferedRows(n) ? ChargeVerdict::kCharged
                                : ChargeVerdict::kFailed;

@@ -329,6 +329,8 @@ class ExecContext final : public WorkContext {
   // guard trips and faults are attributed to.
   void OnWorkEvent(int node_id);
   bool ConsultFaultSlow(const char* site, int node_id);
+  /// ChargeBufferedRows against an already-read soft `budget`.
+  bool ChargeAgainst(uint64_t n, uint64_t budget);
 
   /// Folds the next observation, next guard check and work-budget trip point
   /// into the single `next_event_` the fast path branches on.

@@ -96,41 +96,6 @@ DriveResult Drive(PhysicalPlan* plan, const DriveOptions& opts) {
 
 }  // namespace exec
 
-uint64_t ExecutePlan(PhysicalPlan* plan, ExecContext* ctx,
-                     const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).root_rows;
-}
-
-Status RunPlan(PhysicalPlan* plan, ExecContext* ctx,
-               const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).status;
-}
-
-uint64_t ExecutePlanBatched(PhysicalPlan* plan, ExecContext* ctx,
-                            size_t batch_size,
-                            const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).root_rows;
-}
-
-Status RunPlanBatched(PhysicalPlan* plan, ExecContext* ctx, size_t batch_size,
-                      const std::function<void(const Row&)>& sink) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.sink = sink;
-  return exec::Drive(plan, opts).status;
-}
-
 std::vector<Row> CollectRows(PhysicalPlan* plan, ExecContext* ctx) {
   exec::DriveOptions opts;
   opts.ctx = ctx;
@@ -142,28 +107,6 @@ std::vector<Row> CollectRows(PhysicalPlan* plan) {
   exec::DriveOptions opts;
   opts.collect_rows = true;
   return std::move(exec::Drive(plan, opts).rows);
-}
-
-StatusOr<std::vector<Row>> TryCollectRows(PhysicalPlan* plan,
-                                          ExecContext* ctx) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.collect_rows = true;
-  exec::DriveResult r = exec::Drive(plan, opts);
-  if (!r.ok()) return r.status;
-  return std::move(r.rows);
-}
-
-StatusOr<std::vector<Row>> TryCollectRowsBatched(PhysicalPlan* plan,
-                                                 ExecContext* ctx,
-                                                 size_t batch_size) {
-  exec::DriveOptions opts;
-  opts.ctx = ctx;
-  opts.batch_size = batch_size;
-  opts.collect_rows = true;
-  exec::DriveResult r = exec::Drive(plan, opts);
-  if (!r.ok()) return r.status;
-  return std::move(r.rows);
 }
 
 uint64_t MeasureTotalWork(PhysicalPlan* plan) {

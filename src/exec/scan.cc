@@ -24,6 +24,23 @@ SeqScan::SeqScan(const Table* table, ExprPtr predicate, uint64_t begin,
 
 SeqScan::~SeqScan() = default;
 
+void SeqScan::set_output_columns(std::vector<size_t> columns) {
+  std::vector<Field> fields;
+  fields.reserve(columns.size());
+  for (size_t c : columns) {
+    QPROG_CHECK(c < table_->schema().num_fields());
+    fields.push_back(table_->schema().field(c));
+  }
+  columns_ = std::move(columns);
+  schema_ = Schema(std::move(fields));
+  pruned_ = true;
+}
+
+void SeqScan::GatherColumns(const Row& row, Row* out) const {
+  out->resize(columns_.size());
+  for (size_t i = 0; i < columns_.size(); ++i) (*out)[i] = row[columns_[i]];
+}
+
 void SeqScan::DoOpen(ExecContext* ctx) {
   cursor_ = begin_;
   emitted_ = 0;
@@ -48,7 +65,11 @@ bool SeqScan::DoNext(ExecContext* ctx, Row* out) {
       if (keep.is_null() || !keep.bool_value()) continue;
     }
     ++emitted_;
-    *out = row;
+    if (pruned_) {
+      GatherColumns(row, out);
+    } else {
+      *out = row;
+    }
     return true;
   }
   finished_ = true;

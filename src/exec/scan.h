@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exec/operator.h"
 #include "expr/expr.h"
@@ -13,10 +14,18 @@
 
 namespace qprog {
 
-/// Sequential scan over a table, with an optional pushed-down residual
-/// predicate (a predicate evaluated inside the scan does not produce getnext
-/// calls for rejected rows — it changes the work model exactly as a merged
-/// scan+filter does in a commercial engine).
+/// Sequential scan over a table, with an optional merged predicate and an
+/// optional output column list.
+///
+/// Every examined row is one getnext at the leaf, whether the merged
+/// predicate keeps it or not (DESIGN.md §1): merging a predicate into the
+/// scan saves the Filter node's getnext calls, never the scan's own.
+///
+/// The column list (set_output_columns, the planner's column pruning) narrows
+/// what the scan emits to the listed table columns, in list order; the
+/// predicate is still evaluated against the full table row, so a column the
+/// predicate alone reads need not be emitted. Pruning changes row width only:
+/// getnext counts, labels and progress state are those of the unpruned scan.
 class SeqScan : public PhysicalOperator {
  public:
   /// `table` must outlive the operator; `predicate` may be null.
@@ -36,7 +45,9 @@ class SeqScan : public PhysicalOperator {
   void DoClose(ExecContext* ctx) override;
 
   OpKind kind() const override { return OpKind::kSeqScan; }
-  const Schema& output_schema() const override { return table_->schema(); }
+  const Schema& output_schema() const override {
+    return pruned_ ? schema_ : table_->schema();
+  }
   size_t num_children() const override { return 0; }
   PhysicalOperator* child(size_t) override { return nullptr; }
   std::string label() const override;
@@ -46,6 +57,14 @@ class SeqScan : public PhysicalOperator {
   const Table* table() const { return table_; }
   bool has_predicate() const { return predicate_ != nullptr; }
   const Expr* predicate() const { return predicate_.get(); }
+
+  /// Emits only the table columns `columns` (indexes into the table schema),
+  /// in that order. An empty list emits zero-width rows.
+  void set_output_columns(std::vector<size_t> columns);
+  /// True once set_output_columns narrowed the output.
+  bool pruned() const { return pruned_; }
+  /// The table column behind each output column (meaningful when pruned()).
+  const std::vector<size_t>& output_columns() const { return columns_; }
 
   /// True when this scan covers a strict sub-range of the table.
   bool partitioned() const {
@@ -59,8 +78,15 @@ class SeqScan : public PhysicalOperator {
  private:
   friend class FusedChain;
 
+  /// Copies the output columns of table row `row` into `out`, reusing its
+  /// capacity (string buffers included) across calls.
+  void GatherColumns(const Row& row, Row* out) const;
+
   const Table* table_;
   ExprPtr predicate_;
+  bool pruned_ = false;
+  std::vector<size_t> columns_;  // table column per output column
+  Schema schema_;                // narrowed output schema when pruned_
   uint64_t begin_ = 0;    // first row of this scan's range
   uint64_t end_ = 0;      // one past the last row of this scan's range
   uint64_t cursor_ = 0;   // table cursor within [begin_, end_)

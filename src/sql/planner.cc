@@ -235,6 +235,37 @@ bool ContainsAggregate(const SqlExpr* e) {
   return !aggs.empty();
 }
 
+// Collects the column references (kColumn nodes) in the expression tree.
+void CollectColumnRefs(const SqlExpr* e, std::vector<const SqlExpr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind == SqlExprKind::kColumn) {
+    out->push_back(e);
+    return;
+  }
+  for (const SqlExprPtr& c : e->children) CollectColumnRefs(c.get(), out);
+}
+
+// Column pruning: the columns of relation `alias` that some reference in
+// `refs` may name, ascending. A qualified reference names a column of its own
+// relation only; an unqualified one names the column in every relation that
+// has it, so a name that is ambiguous (or unknown) over the full schemas is
+// ambiguous (unknown) over the pruned ones too.
+std::vector<size_t> ReferencedColumns(const std::string& alias,
+                                      const Schema& schema,
+                                      const std::vector<const SqlExpr*>& refs) {
+  std::vector<size_t> kept;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    for (const SqlExpr* ref : refs) {
+      if ((ref->table.empty() || ref->table == alias) &&
+          ref->column == schema.field(c).name) {
+        kept.push_back(c);
+        break;
+      }
+    }
+  }
+  return kept;
+}
+
 // Statistics-backed selectivity for a conjunct against one table; falls back
 // to 1/3. Only simple column-op-literal shapes consult the histogram.
 double ConjunctSelectivity(const SqlExpr& e, const Scope& table_scope,
@@ -320,23 +351,83 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
   for (const JoinClause& j : stmt.joins) {
     CollectConjuncts(j.on.get(), &conjuncts);
   }
-  std::vector<bool> used(conjuncts.size(), false);
 
-  // Plan each relation as a scan with its single-table conjuncts merged.
-  auto plan_scan = [&](const TableRef& ref) -> StatusOr<Planned> {
+  // Conjunct placement, settled on the full table schemas before any column
+  // is pruned: each non-aggregate conjunct merges into the first scan whose
+  // table resolves it alone, else into the first join whose combined inputs
+  // resolve it (as an equi-key or a residual), else into the Filter above
+  // the joins. Deciding here keeps placement independent of what the scans
+  // emit.
+  enum class Placement { kNone, kScan, kJoin, kFilter };
+  std::vector<Placement> placement(conjuncts.size(), Placement::kNone);
+  std::vector<size_t> placed_at(conjuncts.size(), 0);  // relation index
+  {
+    auto place = [&](const Scope& scope, Placement where, size_t r) {
+      for (size_t i = 0; i < conjuncts.size(); ++i) {
+        if (placement[i] != Placement::kNone ||
+            ContainsAggregate(conjuncts[i]) ||
+            !scope.CanResolve(*conjuncts[i])) {
+          continue;
+        }
+        placement[i] = where;
+        placed_at[i] = r;
+      }
+    };
+    Scope combined;
+    for (size_t r = 0; r < relations.size(); ++r) {
+      const Schema& schema = db.GetTable(relations[r].table)->schema();
+      Scope table_scope;
+      table_scope.AddTable(relations[r].alias, schema);
+      place(table_scope, Placement::kScan, r);
+      combined.AddTable(relations[r].alias, schema);
+      if (r > 0) place(combined, Placement::kJoin, r);
+    }
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (placement[i] == Placement::kNone &&
+          !ContainsAggregate(conjuncts[i])) {
+        placement[i] = Placement::kFilter;
+      }
+    }
+  }
+
+  // Column pruning: each scan emits only the columns referenced above it —
+  // join keys and residuals, leftover Filter conjuncts, the select list,
+  // GROUP BY, HAVING and ORDER BY. A column read only by the scan's merged
+  // predicate is dropped (the scan evaluates it on the full table row).
+  // SELECT * keeps every column. No node is added, so getnext counts are
+  // those of the unpruned plan (DESIGN.md §17).
+  const bool star_select =
+      stmt.items.size() == 1 && stmt.items[0].expr == nullptr;
+  std::vector<const SqlExpr*> refs;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (placement[i] == Placement::kJoin ||
+        placement[i] == Placement::kFilter) {
+      CollectColumnRefs(conjuncts[i], &refs);
+    }
+  }
+  for (const SelectItem& item : stmt.items) {
+    CollectColumnRefs(item.expr.get(), &refs);
+  }
+  for (const SqlExprPtr& g : stmt.group_by) CollectColumnRefs(g.get(), &refs);
+  CollectColumnRefs(stmt.having.get(), &refs);
+  for (const OrderItem& item : stmt.order_by) {
+    CollectColumnRefs(item.expr.get(), &refs);
+  }
+
+  // Plan relation `r` as a scan with its placed conjuncts merged.
+  auto plan_scan = [&](size_t r) -> StatusOr<Planned> {
+    const TableRef& ref = relations[r];
     const Table* table = db.GetTable(ref.table);
     Scope table_scope;
     table_scope.AddTable(ref.alias, table->schema());
     std::vector<ExprPtr> preds;
     double selectivity = 1.0;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (used[i] || ContainsAggregate(conjuncts[i])) continue;
-      if (!table_scope.CanResolve(*conjuncts[i])) continue;
+      if (placement[i] != Placement::kScan || placed_at[i] != r) continue;
       QPROG_ASSIGN_OR_RETURN(ExprPtr bound, Bind(*conjuncts[i], table_scope));
       selectivity *=
           ConjunctSelectivity(*conjuncts[i], table_scope, db.GetStats(ref.table));
       preds.push_back(std::move(bound));
-      used[i] = true;
     }
     ExprPtr predicate;
     if (preds.size() == 1) {
@@ -345,21 +436,28 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
       predicate = eb::And(std::move(preds));
     }
     auto scan = std::make_unique<SeqScan>(table, std::move(predicate));
+    if (!star_select) {
+      std::vector<size_t> kept =
+          ReferencedColumns(ref.alias, table->schema(), refs);
+      if (kept.size() < table->schema().num_fields()) {
+        scan->set_output_columns(std::move(kept));
+      }
+    }
     double est = std::max(1.0, static_cast<double>(table->num_rows()) *
                                    selectivity);
     scan->set_estimated_rows(est);
     Planned planned;
+    planned.scope.AddTable(ref.alias, scan->output_schema());
     planned.op = std::move(scan);
-    planned.scope = table_scope;
     planned.est_rows = est;
     return planned;
   };
 
-  QPROG_ASSIGN_OR_RETURN(Planned current, plan_scan(relations[0]));
+  QPROG_ASSIGN_OR_RETURN(Planned current, plan_scan(0));
 
   // Left-deep joins in relation order.
   for (size_t r = 1; r < relations.size(); ++r) {
-    QPROG_ASSIGN_OR_RETURN(Planned next, plan_scan(relations[r]));
+    QPROG_ASSIGN_OR_RETURN(Planned next, plan_scan(r));
     // Combined scope: current's columns keep their positions, the new
     // relation's columns follow.
     Scope rebuilt;
@@ -375,9 +473,8 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
     std::vector<ExprPtr> residuals;
     uint64_t probe_distinct = 1, build_distinct = 1;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (used[i] || ContainsAggregate(conjuncts[i])) continue;
+      if (placement[i] != Placement::kJoin || placed_at[i] != r) continue;
       const SqlExpr* e = conjuncts[i];
-      if (!rebuilt.CanResolve(*e)) continue;
       bool is_equi = false;
       if (e->kind == SqlExprKind::kCompare && e->op == "=" &&
           e->children[0]->kind == SqlExprKind::kColumn &&
@@ -418,7 +515,6 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
           build_distinct = std::max(
               build_distinct, DistinctOf(db, relations[r].table,
                                          next_side->column));
-          used[i] = true;
           is_equi = true;
         }
       }
@@ -426,7 +522,6 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
         // Spans both sides: becomes a join residual over the combined row.
         QPROG_ASSIGN_OR_RETURN(ExprPtr bound, Bind(*e, rebuilt));
         residuals.push_back(std::move(bound));
-        used[i] = true;
       }
     }
     ExprPtr residual;
@@ -461,10 +556,9 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
   {
     std::vector<ExprPtr> leftovers;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (used[i] || ContainsAggregate(conjuncts[i])) continue;
+      if (placement[i] != Placement::kFilter) continue;
       QPROG_ASSIGN_OR_RETURN(ExprPtr bound, Bind(*conjuncts[i], current.scope));
       leftovers.push_back(std::move(bound));
-      used[i] = true;
     }
     if (!leftovers.empty()) {
       ExprPtr pred = leftovers.size() == 1 ? std::move(leftovers[0])
@@ -476,7 +570,6 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
   }
 
   // ---------------- aggregation -----------------------------------------
-  bool star_select = stmt.items.size() == 1 && stmt.items[0].expr == nullptr;
   std::vector<const SqlExpr*> select_aggs;
   for (const SelectItem& item : stmt.items) {
     CollectAggregates(item.expr.get(), &select_aggs);
@@ -560,6 +653,9 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
         auto part_scan = std::make_unique<SeqScan>(
             table, pred != nullptr ? pred->Clone() : nullptr, n * p / parts,
             n * (p + 1) / parts);
+        if (scan->pruned()) {
+          part_scan->set_output_columns(scan->output_columns());
+        }
         std::vector<ExprPtr> part_groups;
         part_groups.reserve(group_exprs.size());
         for (const ExprPtr& g : group_exprs) {

@@ -18,6 +18,7 @@
 
 #include "core/monitor.h"
 #include "exec/aggregate.h"
+#include "exec/batch.h"
 #include "exec/fault_injector.h"
 #include "exec/filter_project.h"
 #include "exec/join.h"
@@ -30,7 +31,9 @@
 #include "index/ordered_index.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "sql/planner.h"
 #include "sql/session.h"
+#include "stats/table_stats.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
 
@@ -529,6 +532,156 @@ TEST(BatchSessionTest, SqlSessionResultsIdenticalWithBatchingOn) {
     EXPECT_EQ(got_report->root_rows, want_report->root_rows);
     EXPECT_EQ(got_report->ToTsv(), want_report->ToTsv());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pruned scans (DESIGN.md §17): narrower rows, same fused kernels
+// ---------------------------------------------------------------------------
+
+/// Monitored run with a typed trace: (trace, estimator scores, total(Q)).
+std::tuple<std::string, std::string, uint64_t> TracedRun(
+    const std::function<PhysicalPlan()>& make_plan, size_t batch_size) {
+  PhysicalPlan plan = make_plan();
+  JsonlStringSink sink;
+  TelemetryCollector collector(&sink);
+  MonitorOptions mo;
+  mo.telemetry = &collector;
+  mo.batch_size = batch_size;
+  ProgressMonitor m =
+      ProgressMonitor::WithEstimators(&plan, {"dne", "pmax", "safe"}, mo);
+  ProgressReport r = m.Run(100);
+  EXPECT_TRUE(r.completed()) << r.status.ToString();
+  return {sink.data(), r.ToTsv(), r.total_work};
+}
+
+/// Rows, counters and the full trace at batch {1, 64, 1024} match the tuple
+/// path's byte for byte.
+void ExpectBatchIdentity(const std::function<PhysicalPlan()>& make) {
+  RunResult reference = RunBatched(make, 0);
+  ASSERT_EQ(reference.code, StatusCode::kOk);
+  ASSERT_FALSE(reference.rows.empty());
+  auto reference_trace = TracedRun(make, 0);
+  ASSERT_FALSE(std::get<0>(reference_trace).empty());
+  for (size_t bs : kBatchSizes) {
+    SCOPED_TRACE("batch=" + std::to_string(bs));
+    ExpectSameRun(RunBatched(make, bs), reference);
+    EXPECT_EQ(TracedRun(make, bs), reference_trace) << "trace diverged";
+  }
+}
+
+class PrunedScanBatchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::vector<Row> fact;
+    for (int64_t i = 0; i < 3000; ++i) {
+      fact.push_back({I(i), I(i % 41), I((i * 7919) % 1000),
+                      S("note-" + std::to_string(i % 13))});
+    }
+    std::vector<Row> dim;
+    for (int64_t g = 0; g < 41; g += 2) {
+      dim.push_back({I(g), S("label-" + std::to_string(g)),
+                     S("filler-" + std::to_string(g * 3))});
+    }
+    QPROG_CHECK(db_.AddTable(testutil::MakeTable(
+                                 "fact", {"id", "grp", "pad", "note"},
+                                 std::move(fact)))
+                    .ok());
+    QPROG_CHECK(db_.AddTable(testutil::MakeTable(
+                                 "dim", {"grp", "label", "filler"},
+                                 std::move(dim)))
+                    .ok());
+    HistogramStatisticsGenerator gen(8);
+    for (const std::string& name : db_.TableNames()) {
+      db_.SetStats(name, gen.Generate(*db_.GetTable(name)));
+    }
+  }
+
+  PhysicalPlan Plan(const std::string& query) const {
+    StatusOr<PhysicalPlan> plan = sql::PlanSql(query, db_);
+    QPROG_CHECK_MSG(plan.ok(), "%s", plan.status().ToString().c_str());
+    return std::move(plan.value());
+  }
+
+  Database db_;
+};
+
+TEST_F(PrunedScanBatchTest, SqlProjectOverPrunedScanStaysFused) {
+  const std::string query = "SELECT note, id FROM fact WHERE pad < 700";
+  PhysicalPlan plan = Plan(query);
+  ASSERT_EQ(plan.num_nodes(), 2u) << plan.ToString();
+  ASSERT_EQ(plan.root()->kind(), OpKind::kProject);
+  const auto* scan = static_cast<const SeqScan*>(plan.nodes()[1]);
+  ASSERT_TRUE(scan->pruned());
+  EXPECT_EQ(scan->output_schema().num_fields(), 2u);  // id, note
+  EXPECT_NE(FusedChain::TryBuild(plan.root()), nullptr);
+  ExpectBatchIdentity([&] { return Plan(query); });
+}
+
+TEST_F(PrunedScanBatchTest, HashJoinProbeOverPrunedScanStaysFused) {
+  // The planner's join shape — pruned scans on both sides — as the root, so
+  // the batched join pulls its probe side through the fused kernel.
+  const Table* fact = db_.GetTable("fact");
+  const Table* dim = db_.GetTable("dim");
+  auto make = [&] {
+    auto probe = std::make_unique<SeqScan>(
+        fact, eb::Lt(eb::Col(2, "pad"), eb::Int(900)));
+    probe->set_output_columns({0, 1, 3});  // id, grp, note
+    auto build = std::make_unique<SeqScan>(dim);
+    build->set_output_columns({0, 1});  // grp, label
+    std::vector<ExprPtr> pk, bk;
+    pk.push_back(eb::Col(1, "grp"));
+    bk.push_back(eb::Col(0, "grp"));
+    return PhysicalPlan(std::make_unique<HashJoin>(
+        std::move(probe), std::move(build), std::move(pk), std::move(bk),
+        JoinType::kInner));
+  };
+  PhysicalPlan plan = make();
+  EXPECT_EQ(plan.root()->output_schema().num_fields(), 5u);
+  EXPECT_NE(FusedChain::TryBuild(plan.root()->child(0)), nullptr);
+  ExpectBatchIdentity(make);
+
+  // The SQL form of the same join: pruned on both sides, identical rows.
+  const std::string query =
+      "SELECT f.id, f.note, d.label FROM fact f, dim d "
+      "WHERE f.grp = d.grp AND f.pad < 900";
+  PhysicalPlan sql_plan = Plan(query);
+  for (const PhysicalOperator* op : sql_plan.nodes()) {
+    if (op->kind() == OpKind::kSeqScan) {
+      EXPECT_TRUE(static_cast<const SeqScan*>(op)->pruned())
+          << sql_plan.ToString();
+    }
+  }
+  ExpectBatchIdentity([&] { return Plan(query); });
+}
+
+TEST_F(PrunedScanBatchTest, FilterAndLimitOverPrunedScanGatherIntoTheSlot) {
+  // Only pass-through levels above the leaf: the pruned scan gathers
+  // straight into the batch slot, and a Project deeper down reads scratch.
+  const Table* fact = db_.GetTable("fact");
+  auto make_filter = [&] {
+    auto scan = std::make_unique<SeqScan>(
+        fact, eb::Gt(eb::Col(2, "pad"), eb::Int(100)));
+    scan->set_output_columns({3, 1});  // note, grp
+    auto filter = std::make_unique<Filter>(
+        std::move(scan), eb::Lt(eb::Col(1, "grp"), eb::Int(20)));
+    return PhysicalPlan(std::make_unique<Limit>(std::move(filter), 900));
+  };
+  PhysicalPlan plan = make_filter();
+  EXPECT_NE(FusedChain::TryBuild(plan.root()), nullptr);
+  ExpectBatchIdentity(make_filter);
+
+  auto make_project = [&] {
+    auto scan = std::make_unique<SeqScan>(fact);
+    scan->set_output_columns({1, 3});  // grp, note
+    auto filter = std::make_unique<Filter>(
+        std::move(scan), eb::Eq(eb::Col(0, "grp"), eb::Int(5)));
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(eb::Col(1, "note"));
+    return PhysicalPlan(std::make_unique<Project>(
+        std::move(filter), std::move(exprs),
+        std::vector<std::string>{"note"}));
+  };
+  ExpectBatchIdentity(make_project);
 }
 
 }  // namespace

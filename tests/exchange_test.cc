@@ -25,6 +25,7 @@
 #include "exec/spill.h"
 #include "exec/worker_pool.h"
 #include "obs/telemetry.h"
+#include "sql/planner.h"
 #include "sql/session.h"
 #include "stats/table_stats.h"
 #include "storage/catalog.h"
@@ -497,6 +498,86 @@ TEST_F(ExchangeSqlTest, NonDecomposableQueriesFallBackToSerialPlans) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(testutil::RowsToString(Sorted(got.value())),
             testutil::RowsToString(Sorted(want.value())));
+}
+
+// Partitioned producers over pruned scans (DESIGN.md §17): every range scan
+// of the pipeline carries the serial scan's column list, and the run stays
+// byte-identical across pools {1,4} x partitions {1,4}.
+TEST(ExchangeSqlPruningTest, PrunedProducerScansByteIdenticalAcrossMatrix) {
+  Database db;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1600; ++i) {
+    rows.push_back({I(i % 53), I(i), I((i * 31) % 100),
+                    testutil::S("note-" + std::to_string(i % 17))});
+  }
+  QPROG_CHECK(db.AddTable(testutil::MakeTable("wide", {"k", "v", "w", "note"},
+                                              std::move(rows)))
+                  .ok());
+  HistogramStatisticsGenerator gen(8);
+  db.SetStats("wide", gen.Generate(*db.GetTable("wide")));
+  const std::string query =
+      "SELECT k, COUNT(*) AS c, SUM(v) AS s, MAX(v) AS mx FROM wide "
+      "WHERE w < 60 GROUP BY k";
+
+  std::string want_rows;
+  for (size_t partitions : {size_t{1}, size_t{4}}) {
+    std::string reference_trace;
+    std::string reference_tsv;
+    uint64_t reference_total = 0;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("partitions=" + std::to_string(partitions) +
+                   " threads=" + std::to_string(threads));
+      sql::PlanOptions popts;
+      popts.partitions = partitions;
+      auto plan_for = [&] {
+        StatusOr<PhysicalPlan> plan = sql::PlanSql(query, db, popts);
+        QPROG_CHECK_MSG(plan.ok(), "%s", plan.status().ToString().c_str());
+        return std::move(plan.value());
+      };
+      PhysicalPlan plan = plan_for();
+      size_t scans = 0;
+      for (const PhysicalOperator* op : plan.nodes()) {
+        if (op->kind() != OpKind::kSeqScan) continue;
+        ++scans;
+        const auto* scan = static_cast<const SeqScan*>(op);
+        EXPECT_TRUE(scan->pruned()) << plan.ToString();
+        EXPECT_EQ(scan->output_columns(), (std::vector<size_t>{0, 1}));
+      }
+      EXPECT_EQ(scans, partitions) << plan.ToString();
+
+      WorkerPool pool(threads);
+      exec::DriveOptions drive;
+      drive.worker_pool = &pool;
+      drive.collect_rows = true;
+      exec::DriveResult got = exec::Drive(&plan, drive);
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      const std::string got_rows = testutil::RowsToString(Sorted(got.rows));
+      if (want_rows.empty()) want_rows = got_rows;
+      EXPECT_EQ(got_rows, want_rows) << "rows diverged";
+
+      PhysicalPlan traced = plan_for();
+      JsonlStringSink sink;
+      TelemetryCollector collector(&sink);
+      MonitorOptions mo;
+      mo.worker_pool = &pool;
+      mo.telemetry = &collector;
+      ProgressMonitor m =
+          ProgressMonitor::WithEstimators(&traced, {"dne", "safe"}, mo);
+      ProgressReport r = m.Run(100);
+      ASSERT_TRUE(r.completed()) << r.status.ToString();
+      EXPECT_EQ(r.total_work, got.work);
+      if (reference_trace.empty()) {
+        reference_trace = sink.data();
+        reference_tsv = r.ToTsv();
+        reference_total = r.total_work;
+        EXPECT_FALSE(reference_trace.empty());
+      } else {
+        EXPECT_EQ(sink.data(), reference_trace) << "trace diverged";
+        EXPECT_EQ(r.ToTsv(), reference_tsv) << "estimator scores diverged";
+        EXPECT_EQ(r.total_work, reference_total) << "total(Q) diverged";
+      }
+    }
+  }
 }
 
 }  // namespace

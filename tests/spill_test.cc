@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -813,6 +816,59 @@ TEST(SpillFileTest, WriteReadRewindReadAgain) {
   }
   file.value()->CloseAndDelete();
   EXPECT_EQ(CountSpillFiles(dir), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// A governor revocation lowers a query's soft budget from another thread at
+// any moment. ChargeBufferedRowsOrSpill must decide spill-or-charge and charge
+// against one reading of the budget: read twice, a revocation landing between
+// the reads aborted a query that should have spilled. With no kill threshold
+// every verdict is kCharged or kSpill.
+TEST(SpillBudgetTest, ConcurrentRevocationNeverFailsASpillableCharge) {
+  std::string dir = MakeSpillDir("revoke_race");
+  SpillManager spill(dir);
+  QueryGuard guard;
+  guard.set_max_buffered_rows(1000);
+  ExecContext ctx;
+  ctx.set_guard(&guard);
+  ctx.set_spill_manager(&spill);
+  ASSERT_EQ(ctx.ChargeBufferedRowsOrSpill(8), ChargeVerdict::kCharged);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread revoker([&] {
+    started.store(true);
+    while (!stop.load(std::memory_order_relaxed)) {
+      guard.set_max_buffered_rows(4);  // revoke below what is buffered
+      guard.set_max_buffered_rows(1000);
+    }
+  });
+  uint64_t charged = 0;
+  uint64_t spilled = 0;
+  uint64_t failed = 0;
+  while (!started.load()) std::this_thread::yield();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (failed == 0 && std::chrono::steady_clock::now() < until) {
+    switch (ctx.ChargeBufferedRowsOrSpill(1)) {
+      case ChargeVerdict::kCharged:
+        ++charged;
+        ctx.ReleaseBufferedRows(1);
+        break;
+      case ChargeVerdict::kSpill:
+        ++spilled;
+        break;
+      case ChargeVerdict::kFailed:
+        ++failed;
+        break;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  revoker.join();
+  EXPECT_EQ(failed, 0u) << ctx.status().ToString();
+  EXPECT_TRUE(ctx.ok());
+  EXPECT_GT(charged + spilled, 0u);
+  EXPECT_EQ(ctx.buffered_rows(), 8u);
   std::filesystem::remove_all(dir);
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/filter_project.h"
+#include "exec/scan.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "stats/table_stats.h"
 #include "tests/test_util.h"
+#include "tpch/dbgen.h"
 
 namespace qprog {
 namespace sql {
@@ -306,6 +309,197 @@ TEST_F(SqlEndToEndTest, JoinPlanUsesHashJoin) {
     if (op->kind() == OpKind::kHashJoin) has_hash_join = true;
   }
   EXPECT_TRUE(has_hash_join);
+}
+
+// ---------------------------------------------------------------------------
+// Column pruning (DESIGN.md §17)
+
+using ScanList = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+/// (table, output column names) of every SeqScan in `plan`, in plan order.
+ScanList ScanColumns(const PhysicalPlan& plan) {
+  ScanList out;
+  for (const PhysicalOperator* op : plan.nodes()) {
+    if (op->kind() != OpKind::kSeqScan) continue;
+    const auto* scan = static_cast<const SeqScan*>(op);
+    std::vector<std::string> names;
+    for (const Field& f : scan->output_schema().fields()) {
+      names.push_back(f.name);
+    }
+    out.emplace_back(scan->table()->name(), std::move(names));
+  }
+  return out;
+}
+
+TEST(ColumnPruningTpchTest, Q10ScansCarryOnlyTheColumnsUsedAboveThem) {
+  Database db;
+  tpch::TpchConfig config;
+  config.scale_factor = 0.001;
+  ASSERT_TRUE(tpch::GenerateTpch(config, &db).ok());
+  auto plan = PlanSql(
+      "SELECT c_custkey, sum(l_extendedprice * (1 - l_discount)) AS revenue "
+      "FROM orders o, customer c, lineitem l, nation n "
+      "WHERE o.o_custkey = c.c_custkey AND l.l_orderkey = o.o_orderkey "
+      "AND c.c_nationkey = n.n_nationkey "
+      "AND o.o_orderdate >= DATE '1993-10-01' "
+      "AND o.o_orderdate < DATE '1994-01-01' "
+      "AND l.l_returnflag = 'R' GROUP BY c_custkey",
+      db);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  // o_orderdate and l_returnflag feed only the merged scan predicates, so
+  // they are dropped; join keys, group key and aggregate arguments stay.
+  ScanList want = {
+      {"orders", {"o_orderkey", "o_custkey"}},
+      {"customer", {"c_custkey", "c_nationkey"}},
+      {"lineitem", {"l_orderkey", "l_extendedprice", "l_discount"}},
+      {"nation", {"n_nationkey"}},
+  };
+  EXPECT_EQ(ScanColumns(*plan), want) << plan->ToString();
+  for (const PhysicalOperator* op : plan->nodes()) {
+    if (op->kind() != OpKind::kSeqScan) continue;
+    const auto* scan = static_cast<const SeqScan*>(op);
+    EXPECT_TRUE(scan->pruned());
+    // Labels name the table and predicate only: pruning leaves them as the
+    // unpruned plan printed them.
+    EXPECT_EQ(op->label().find("columns"), std::string::npos);
+  }
+  // The merged predicates still read the dropped columns off the full
+  // table row.
+  std::string shape = plan->ToString();
+  EXPECT_NE(shape.find("SeqScan(orders, pred="), std::string::npos) << shape;
+  EXPECT_NE(shape.find("o.o_orderdate"), std::string::npos) << shape;
+  EXPECT_NE(shape.find("l.l_returnflag"), std::string::npos) << shape;
+  auto rows = CollectRows(&plan.value());
+  EXPECT_FALSE(rows.empty());
+  for (const Row& r : rows) EXPECT_EQ(r.size(), 2u);
+}
+
+TEST_F(SqlEndToEndTest, ColumnReadOnlyByMergedPredicateIsDropped) {
+  const std::string query = "SELECT name FROM emp WHERE salary > 100";
+  auto plan = PlanSql(query, *db_);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(ScanColumns(*plan), (ScanList{{"emp", {"name"}}}));
+  auto rows = CollectRows(&plan.value());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].string_value(), "ada");
+
+  // The unpruned twin — same scan predicate, same projection over the full
+  // row — prints the same labels and does exactly the same getnext work.
+  const Table* emp = db_->GetTable("emp");
+  const auto* scan = static_cast<const SeqScan*>(plan->nodes()[1]);
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(eb::Col(1, "name"));
+  PhysicalPlan twin(std::make_unique<Project>(
+      std::make_unique<SeqScan>(emp, scan->predicate()->Clone()),
+      std::move(exprs), std::vector<std::string>{"name"}));
+  ASSERT_EQ(twin.num_nodes(), plan->num_nodes());
+  for (size_t i = 0; i < twin.num_nodes(); ++i) {
+    EXPECT_EQ(twin.nodes()[i]->label(), plan->nodes()[i]->label());
+  }
+  EXPECT_EQ(MeasureTotalWork(&twin), MeasureTotalWork(&plan.value()));
+  EXPECT_EQ(testutil::RowsToString(CollectRows(&twin)),
+            testutil::RowsToString(rows));
+}
+
+TEST_F(SqlEndToEndTest, ResidualHavingAndOrderByColumnsAreKept) {
+  // salary appears only in the join residual.
+  {
+    auto plan = PlanSql(
+        "SELECT e.name FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+        "AND e.salary > d.dept_id * 60 ORDER BY e.name",
+        *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(ScanColumns(*plan),
+              (ScanList{{"emp", {"name", "dept_id", "salary"}},
+                        {"dept", {"dept_id"}}}));
+    auto rows = CollectRows(&plan.value());
+    ASSERT_EQ(rows.size(), 2u);  // dept 1 above 60, dept 2 above 120
+    EXPECT_EQ(rows[0][0].string_value(), "ada");
+    EXPECT_EQ(rows[1][0].string_value(), "bob");
+  }
+  // salary appears only inside a HAVING aggregate.
+  {
+    auto plan = PlanSql(
+        "SELECT dept_id, count(*) FROM emp GROUP BY dept_id "
+        "HAVING max(salary) > 100",
+        *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(ScanColumns(*plan),
+              (ScanList{{"emp", {"dept_id", "salary"}}}));
+    auto rows = CollectRows(&plan.value());
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].int64_value(), 1);
+  }
+  // The ORDER BY column is kept; dept_id (merged predicate only) is not.
+  {
+    auto plan = PlanSql(
+        "SELECT name, salary FROM emp WHERE dept_id = 1 ORDER BY salary",
+        *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(ScanColumns(*plan), (ScanList{{"emp", {"name", "salary"}}}));
+    auto rows = CollectRows(&plan.value());
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0][0].string_value(), "bob");
+  }
+  // Only count(*) above the scan: zero-width rows, the same row count.
+  {
+    auto plan = PlanSql("SELECT count(*) FROM emp WHERE salary < 100", *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(ScanColumns(*plan), (ScanList{{"emp", {}}}));
+    auto rows = CollectRows(&plan.value());
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].int64_value(), 3);
+  }
+}
+
+TEST_F(SqlEndToEndTest, SelectStarKeepsFullWidth) {
+  auto plan = PlanSql(
+      "SELECT * FROM emp e, dept d WHERE e.dept_id = d.dept_id "
+      "AND salary > 80",
+      *db_);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const PhysicalOperator* op : plan->nodes()) {
+    if (op->kind() == OpKind::kSeqScan) {
+      EXPECT_FALSE(static_cast<const SeqScan*>(op)->pruned());
+    }
+  }
+  EXPECT_EQ(ScanColumns(*plan),
+            (ScanList{{"emp", {"emp_id", "name", "dept_id", "salary"}},
+                      {"dept", {"dept_id", "dept_name"}}}));
+  auto rows = CollectRows(&plan.value());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].size(), 6u);
+}
+
+TEST_F(SqlEndToEndTest, PruningKeepsNameResolutionErrors) {
+  // An unqualified name keeps its column in every relation that has it, so
+  // ambiguity survives pruning even when a merged predicate reads one side.
+  for (const char* query :
+       {"SELECT dept_id FROM emp, dept",
+        "SELECT dept_id FROM emp e, dept d WHERE e.dept_id = d.dept_id",
+        "SELECT count(*) FROM emp e, dept d WHERE e.emp_id = d.dept_id "
+        "GROUP BY dept_id"}) {
+    SCOPED_TRACE(query);
+    auto plan = PlanSql(query, *db_);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_NE(plan.status().message().find("ambiguous column 'dept_id'"),
+              std::string::npos)
+        << plan.status();
+  }
+  auto unknown = PlanSql("SELECT salary FROM dept", *db_);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("unknown column 'salary'"),
+            std::string::npos)
+      << unknown.status();
+  // An unqualified conjunct that the first table resolves alone merges into
+  // its scan (placement is decided on the full schemas, as before pruning),
+  // so the name is never resolved against the joined row.
+  auto plan = PlanSql(
+      "SELECT name, dept_name FROM emp e, dept d WHERE dept_id = 1", *db_);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(ScanColumns(*plan),
+            (ScanList{{"emp", {"name"}}, {"dept", {"dept_name"}}}));
+  EXPECT_EQ(CollectRows(&plan.value()).size(), 6u);  // 2 emps x 3 depts
 }
 
 }  // namespace
