@@ -144,7 +144,8 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
-      schema_(MakeAggSchema(group_names, aggregates_)) {
+      schema_(MakeAggSchema(group_names, aggregates_)),
+      group_key_(group_exprs_) {
   QPROG_CHECK(child_ != nullptr);
   QPROG_CHECK(group_names.size() == group_exprs_.size());
   set_is_linear(true);
@@ -153,7 +154,7 @@ HashAggregate::HashAggregate(OperatorPtr child, std::vector<ExprPtr> group_exprs
 void HashAggregate::DoOpen(ExecContext* ctx) {
   finished_ = false;
   built_ = false;
-  group_index_.clear();
+  group_index_.Clear();
   group_keys_.clear();
   group_states_.clear();
   ctx->ReleaseBufferedRows(charged_);
@@ -174,7 +175,7 @@ void HashAggregate::DoOpen(ExecContext* ctx) {
   child_->Open(ctx);
 }
 
-bool HashAggregate::SpillRow(ExecContext* ctx, const Row& key,
+bool HashAggregate::SpillRow(ExecContext* ctx, size_t hash,
                              const Row& row) {
   if (parts_.empty()) {
     parts_.reserve(kSpillFanout);
@@ -185,7 +186,7 @@ bool HashAggregate::SpillRow(ExecContext* ctx, const Row& key,
       parts_.push_back(std::move(run));
     }
   }
-  size_t part = GracePartitionIndex(RowHash()(key), 0, kSpillFanout);
+  size_t part = GracePartitionIndex(hash, 0, kSpillFanout);
   if (!parts_[part]->Append(ctx, node_id(), row)) return false;
   ++agg_rows_spilled_;
   return true;
@@ -197,25 +198,25 @@ void HashAggregate::Build(ExecContext* ctx) {
   while (ctx->ok() && child_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashAggregateBuild, node_id())) return;
     any_input = true;
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto it = group_index_.find(key);
-    if (it != group_index_.end()) {
+    group_key_.Load(row);
+    bool inserted = false;
+    RowHashTable::Slot* slot =
+        FindGroup(&group_index_, group_keys_, group_key_, &inserted);
+    if (!inserted) {
       // Known group: keep accumulating in memory, spilled or not.
-      AccumulateRow(aggregates_, &group_states_[it->second], row);
+      AccumulateRow(aggregates_, &group_states_[slot->first], row);
       continue;
     }
     if (spilled_) {
       // New key after the overflow: its raw rows go to a partition.
-      if (!SpillRow(ctx, key, row)) return;
+      if (!SpillRow(ctx, group_key_.Hash(), row)) return;
       continue;
     }
     ChargeVerdict verdict = ctx->ChargeBufferedRowsOrSpill(1);
     if (verdict == ChargeVerdict::kFailed) return;
     if (verdict == ChargeVerdict::kSpill && !group_exprs_.empty()) {
       spilled_ = true;
-      if (!SpillRow(ctx, key, row)) return;
+      if (!SpillRow(ctx, group_key_.Hash(), row)) return;
       continue;
     }
     if (verdict == ChargeVerdict::kSpill) {
@@ -226,8 +227,7 @@ void HashAggregate::Build(ExecContext* ctx) {
       if (!ctx->ChargeBufferedRowsPostSpill(1)) return;
     }
     ++charged_;
-    group_index_.emplace(key, group_keys_.size());
-    group_keys_.push_back(std::move(key));
+    AddGroup(&group_index_, slot, &group_keys_, group_key_);
     group_states_.push_back(MakeStates(aggregates_));
     AccumulateRow(aggregates_, &group_states_.back(), row);
   }
@@ -300,11 +300,9 @@ bool HashAggregate::RefineOne(ExecContext* ctx, SpillRunPtr run, int depth,
   Row row;
   if (!run->OpenRead(ctx, node_id())) return false;
   while (run->ReadNext(ctx, node_id(), &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
+    group_key_.Load(row);
     ++agg_rows_replayed_;
-    size_t part = GracePartitionIndex(RowHash()(key), child_depth,
+    size_t part = GracePartitionIndex(group_key_.Hash(), child_depth,
                                       kSpillFanout);
     if (!children[part]->Append(ctx, node_id(), row)) return false;
     ++agg_rows_spilled_;
@@ -342,7 +340,7 @@ bool HashAggregate::RefineOne(ExecContext* ctx, SpillRunPtr run, int depth,
 
 bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
   prior_groups_ += group_keys_.size();
-  group_index_.clear();
+  group_index_.Clear();
   group_keys_.clear();
   group_states_.clear();
   ctx->ReleaseBufferedRows(charged_);
@@ -352,18 +350,18 @@ bool HashAggregate::LoadNextPartition(ExecContext* ctx) {
   if (!run->OpenRead(ctx, node_id())) return false;
   Row row;
   while (run->ReadNext(ctx, node_id(), &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto [it, inserted] = group_index_.try_emplace(key, group_keys_.size());
+    group_key_.Load(row);
+    bool inserted = false;
+    RowHashTable::Slot* slot =
+        FindGroup(&group_index_, group_keys_, group_key_, &inserted);
     if (inserted) {
       // One partition's groups answer to the kill threshold only.
       if (!ctx->ChargeBufferedRowsPostSpill(1)) return false;
       ++charged_;
-      group_keys_.push_back(std::move(key));
+      AddGroup(&group_index_, slot, &group_keys_, group_key_);
       group_states_.push_back(MakeStates(aggregates_));
     }
-    AccumulateRow(aggregates_, &group_states_[it->second], row);
+    AccumulateRow(aggregates_, &group_states_[slot->first], row);
     ++agg_rows_replayed_;
   }
   if (!ctx->ok()) return false;
@@ -458,26 +456,26 @@ void HashAggregate::ReplayPartitionTask(TaskContext* tc, SpillRun* run,
   // partition memory stays under the guard's kill threshold; the per-task
   // kill-threshold charge below mirrors the serial LoadNextPartition charge.
   if (!budget->Admit(out->part, out->reserved, tc)) return;
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
+  RowHashTable index;
   std::vector<Row> keys;
   std::vector<std::vector<AggAccumulator>> states;
+  RowKey key(group_exprs_);
   Row row;
   bool ok = run->OpenRead(tc, node_id());
   while (ok && run->ReadNext(tc, node_id(), &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto [it, inserted] = index.try_emplace(key, keys.size());
+    key.Load(row);
+    bool inserted = false;
+    RowHashTable::Slot* slot = FindGroup(&index, keys, key, &inserted);
     if (inserted) {
       // One partition's groups answer to the kill threshold only.
       if (!tc->ChargeBufferedRowsPostSpill(1)) {
         ok = false;
         break;
       }
-      keys.push_back(std::move(key));
+      AddGroup(&index, slot, &keys, key);
       states.push_back(MakeStates(aggregates_));
     }
-    AccumulateRow(aggregates_, &states[it->second], row);
+    AccumulateRow(aggregates_, &states[slot->first], row);
     ++out->rows_read;
   }
   ok = ok && tc->ok();
@@ -575,7 +573,7 @@ bool HashAggregate::DoNext(ExecContext* ctx, Row* out) {
 
 void HashAggregate::DoClose(ExecContext* ctx) {
   child_->Close(ctx);
-  group_index_.clear();
+  group_index_ = RowHashTable();
   group_keys_.clear();
   group_states_.clear();
   parts_.clear();     // deletes any remaining spill temp files

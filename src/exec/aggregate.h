@@ -6,11 +6,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "exec/operator.h"
+#include "exec/row_hash_table.h"
 #include "exec/spill.h"
 #include "expr/expr.h"
 
@@ -146,9 +146,9 @@ class HashAggregate : public PhysicalOperator {
   };
 
   void Build(ExecContext* ctx);
-  /// Routes one raw input row to its hash partition (creating the partition
-  /// runs on first use).
-  bool SpillRow(ExecContext* ctx, const Row& key, const Row& row);
+  /// Routes one raw input row to the partition of its key hash (creating the
+  /// partition runs on first use).
+  bool SpillRow(ExecContext* ctx, size_t hash, const Row& row);
   /// Moves the build-phase partitions into leaves_, recursively re-splitting
   /// any whose row count exceeds the current kill headroom. Query thread
   /// only (run creation order is part of the deterministic trace).
@@ -182,9 +182,10 @@ class HashAggregate : public PhysicalOperator {
   Schema schema_;
 
   bool built_ = false;
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index_;
+  RowHashTable group_index_;     // entry ids index group_keys_
   std::vector<Row> group_keys_;  // first-seen order
   std::vector<std::vector<AggAccumulator>> group_states_;
+  RowKey group_key_;  // query thread's; a replay task owns its own
   size_t cursor_ = 0;
   uint64_t charged_ = 0;  // groups charged to the context's buffer budget
 

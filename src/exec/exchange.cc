@@ -393,7 +393,8 @@ PartialAggregate::PartialAggregate(OperatorPtr child,
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
-      schema_(MakePartialSchema(group_names, aggregates_)) {
+      schema_(MakePartialSchema(group_names, aggregates_)),
+      group_key_(group_exprs_) {
   QPROG_CHECK_MSG(Decomposable(aggregates_),
                   "PartialAggregate: COUNT(DISTINCT) is not decomposable");
 }
@@ -408,7 +409,7 @@ bool PartialAggregate::Decomposable(const std::vector<AggregateDesc>& descs) {
 void PartialAggregate::DoOpen(ExecContext* ctx) {
   child_->Open(ctx);
   built_ = false;
-  group_index_.clear();
+  group_index_.Clear();
   group_keys_.clear();
   group_states_.clear();
   cursor_ = 0;
@@ -419,12 +420,12 @@ void PartialAggregate::Build(ExecContext* ctx) {
   ctx->ConsultFault(faults::kHashAggregateBuild, node_id());
   Row row;
   while (ctx->ok() && child_->Next(ctx, &row)) {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Eval(row));
-    auto [it, inserted] = group_index_.try_emplace(key, group_keys_.size());
+    group_key_.Load(row);
+    bool inserted = false;
+    RowHashTable::Slot* slot =
+        FindGroup(&group_index_, group_keys_, group_key_, &inserted);
     if (inserted) {
-      group_keys_.push_back(std::move(key));
+      AddGroup(&group_index_, slot, &group_keys_, group_key_);
       // One accumulator per partial-state *column*: AVG keeps a (kSum,
       // kCount) pair whose Result()s are exactly its two partial columns.
       std::vector<AggAccumulator> states;
@@ -438,7 +439,7 @@ void PartialAggregate::Build(ExecContext* ctx) {
       }
       group_states_.push_back(std::move(states));
     }
-    std::vector<AggAccumulator>& states = group_states_[it->second];
+    std::vector<AggAccumulator>& states = group_states_[slot->first];
     size_t col = 0;
     for (const AggregateDesc& agg : aggregates_) {
       if (agg.arg == nullptr) {
@@ -479,7 +480,7 @@ bool PartialAggregate::DoNext(ExecContext* ctx, Row* out) {
 
 void PartialAggregate::DoClose(ExecContext* ctx) {
   child_->Close(ctx);
-  group_index_.clear();
+  group_index_ = RowHashTable();
   group_keys_.clear();
   group_states_.clear();
 }
@@ -591,13 +592,17 @@ Value FinalAggregate::FinalValue(AggFunc func, const MergedAgg& m) const {
 }
 
 void FinalAggregate::Build(ExecContext* ctx) {
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
+  RowHashTable index;
   std::vector<Row> keys;
   std::vector<std::vector<MergedAgg>> states;
+  std::vector<size_t> key_cols(num_group_cols_);
+  for (size_t c = 0; c < num_group_cols_; ++c) key_cols[c] = c;
+  RowKey key(std::move(key_cols));
   Row row;
   while (ctx->ok() && child_->Next(ctx, &row)) {
-    Row key(row.begin(), row.begin() + static_cast<long>(num_group_cols_));
-    auto [it, inserted] = index.try_emplace(key, keys.size());
+    key.Load(row);
+    bool inserted = false;
+    RowHashTable::Slot* slot = FindGroup(&index, keys, key, &inserted);
     if (inserted) {
       // One group = one result row held to the end: the post-spill charge
       // (kill threshold only) is the memory tripwire, matching the parallel
@@ -605,10 +610,10 @@ void FinalAggregate::Build(ExecContext* ctx) {
       // its job at the exchange.
       if (!ctx->ChargeBufferedRowsPostSpill(1)) return;
       ++charged_;
-      keys.push_back(std::move(key));
+      AddGroup(&index, slot, &keys, key);
       states.emplace_back(aggregates_.size());
     }
-    MergeRow(row, &states[it->second]);
+    MergeRow(row, &states[slot->first]);
   }
   if (!ctx->ok()) return;
   results_.reserve(keys.size());

@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -188,9 +187,10 @@ class PartialAggregate : public PhysicalOperator {
   Schema schema_;
 
   bool built_ = false;
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_index_;
+  RowHashTable group_index_;     // entry ids index group_keys_
   std::vector<Row> group_keys_;  // first-seen order
   std::vector<std::vector<AggAccumulator>> group_states_;
+  RowKey group_key_;
   size_t cursor_ = 0;
 };
 

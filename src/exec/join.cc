@@ -50,12 +50,47 @@ size_t JoinPartitionIndex(size_t hash, int level) {
   return GracePartitionIndex(hash, level, HashJoin::kSpillFanout);
 }
 
+// Stores `row` in a build table; `key` is loaded on `row` and `stored` reads
+// the stored rows' keys. Returns the number of rows stored under the key.
+uint64_t InsertBuildRow(RowHashTable* table, std::vector<Row>* rows,
+                        const RowKey& key, RowKey* stored, Row* row) {
+  bool inserted = false;
+  RowHashTable::Slot* slot = table->FindOrInsert(
+      key.Hash(),
+      [&](uint32_t e) {
+        stored->Load((*rows)[e]);
+        return key.Equals(*stored);
+      },
+      &inserted);
+  table->Append(slot);
+  rows->push_back(std::move(*row));
+  return slot->count;
+}
+
+// First stored entry whose key equals the probe key loaded in `key` (NULL
+// keys never match), or RowHashTable::kEnd.
+uint32_t FindBuildRows(const RowHashTable& table, const std::vector<Row>& rows,
+                       const RowKey& key, RowKey* stored) {
+  if (key.HasNull()) return RowHashTable::kEnd;
+  const RowHashTable::Slot* slot = table.Find(key.Hash(), [&](uint32_t e) {
+    stored->Load(rows[e]);
+    return key.Equals(*stored);
+  });
+  return slot == nullptr ? RowHashTable::kEnd : slot->first;
+}
+
 Row ConcatRows(const Row& left, const Row& right) {
   Row out;
   out.reserve(left.size() + right.size());
   out.insert(out.end(), left.begin(), left.end());
   out.insert(out.end(), right.begin(), right.end());
   return out;
+}
+
+// Writes left ++ right into *out, reusing its capacity and string buffers.
+void ConcatInto(const Row& left, const Row& right, Row* out) {
+  out->assign(left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
 }
 
 Row NullRow(size_t arity) { return Row(arity); }
@@ -391,7 +426,10 @@ HashJoin::HashJoin(OperatorPtr probe, OperatorPtr build,
       join_type_(join_type),
       residual_(std::move(residual)),
       schema_(JoinOutputSchema(probe_->output_schema(), build_->output_schema(),
-                               join_type)) {
+                               join_type)),
+      build_key_(build_keys_),
+      probe_key_(probe_keys_),
+      stored_key_(build_keys_) {
   QPROG_CHECK(probe_keys_.size() == build_keys_.size());
   QPROG_CHECK(!probe_keys_.empty());
 }
@@ -401,13 +439,13 @@ HashJoin::~HashJoin() = default;
 void HashJoin::DoOpen(ExecContext* ctx) {
   finished_ = false;
   build_done_ = false;
-  table_.clear();
+  table_.Clear();
+  table_rows_.clear();
   build_rows_ = 0;
   max_bucket_ = 0;
   probe_valid_ = false;
   probe_matched_ = false;
-  bucket_ = nullptr;
-  bucket_pos_ = 0;
+  match_ = RowHashTable::kEnd;
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   spilled_ = false;
@@ -427,19 +465,6 @@ void HashJoin::DoOpen(ExecContext* ctx) {
   probe_->Open(ctx);
 }
 
-Row HashJoin::KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
-                    bool* has_null) const {
-  Row key;
-  key.reserve(keys.size());
-  *has_null = false;
-  for (const ExprPtr& e : keys) {
-    Value v = e->Eval(row);
-    *has_null = *has_null || v.is_null();
-    key.push_back(std::move(v));
-  }
-  return key;
-}
-
 bool HashJoin::EnsureRuns(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
                           const char* phase) {
   if (!parts->empty()) return true;
@@ -454,10 +479,10 @@ bool HashJoin::EnsureRuns(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
 
 bool HashJoin::AppendToPartition(ExecContext* ctx,
                                  std::vector<SpillRunPtr>* parts,
-                                 const char* phase, const Row& key,
+                                 const char* phase, size_t hash,
                                  const Row& row, PartitionWriter* writer) {
   if (!EnsureRuns(ctx, parts, phase)) return false;
-  size_t part = JoinPartitionIndex(RowHash()(key), 0);
+  size_t part = JoinPartitionIndex(hash, 0);
   if (writer != nullptr) return writer->Add(part, row);
   if (!(*parts)[part]->Append(ctx, node_id(), row)) return false;
   ++grace_rows_written_;
@@ -465,15 +490,17 @@ bool HashJoin::AppendToPartition(ExecContext* ctx,
 }
 
 bool HashJoin::SpillBuildTable(ExecContext* ctx, PartitionWriter* writer) {
-  for (const auto& [key, bucket] : table_) {
-    for (const Row& row : bucket) {
-      if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build", key, row,
-                             writer)) {
-        return false;
-      }
+  // Insertion order: each key's rows keep their relative order, which is
+  // all a partition replay's output depends on (DESIGN.md §18).
+  for (const Row& row : table_rows_) {
+    stored_key_.Load(row);
+    if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build",
+                           stored_key_.Hash(), row, writer)) {
+      return false;
     }
   }
-  table_.clear();
+  table_.Clear();
+  table_rows_.clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   max_bucket_ = 0;  // re-learned per partition during the probe phase
@@ -498,13 +525,12 @@ void HashJoin::BuildTable(ExecContext* ctx) {
   Row row;
   while (ctx->ok() && build_->Next(ctx, &row)) {
     if (ctx->ConsultFault(faults::kHashJoinBuild, node_id())) return;
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    if (has_null) continue;  // NULL keys never match
+    build_key_.Load(row);
+    if (build_key_.HasNull()) continue;  // NULL keys never match
     if (spilled_) {
       // Already in Grace mode: route straight to a partition run.
-      if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build", key, row,
-                             grace_writer())) {
+      if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build",
+                             build_key_.Hash(), row, grace_writer())) {
         return;
       }
       ++build_rows_;
@@ -513,19 +539,20 @@ void HashJoin::BuildTable(ExecContext* ctx) {
     ChargeVerdict verdict = ctx->ChargeBufferedRowsOrSpill(1);
     if (verdict == ChargeVerdict::kFailed) return;
     if (verdict == ChargeVerdict::kSpill) {
+      const size_t hash = build_key_.Hash();
       if (!SpillBuildTable(ctx, grace_writer())) return;
-      if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build", key, row,
+      if (!AppendToPartition(ctx, &build_parts_, "hashjoin.build", hash, row,
                              grace_writer())) {
         return;
       }
       ++build_rows_;
       continue;
     }
-    auto& bucket = table_[std::move(key)];
-    bucket.push_back(std::move(row));
+    max_bucket_ = std::max(max_bucket_, InsertBuildRow(&table_, &table_rows_,
+                                                       build_key_, &stored_key_,
+                                                       &row));
     ++build_rows_;
     ++charged_;
-    max_bucket_ = std::max<uint64_t>(max_bucket_, bucket.size());
   }
   if (!ctx->ok()) return;  // partial build: not usable for probing
   if (writer != nullptr && !writer->Finish()) return;
@@ -548,10 +575,9 @@ void HashJoin::PartitionProbe(ExecContext* ctx) {
   // partition is replayed.
   Row row;
   while (ctx->ok() && probe_->Next(ctx, &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, probe_keys_, &has_null);
-    if (!AppendToPartition(ctx, &probe_parts_, "hashjoin.probe", key, row,
-                           writer.get())) {
+    probe_key_.Load(row);
+    if (!AppendToPartition(ctx, &probe_parts_, "hashjoin.probe",
+                           probe_key_.Hash(), row, writer.get())) {
       return;
     }
   }
@@ -638,10 +664,9 @@ bool HashJoin::RefineOne(ExecContext* ctx, SpillRunPtr build, SpillRunPtr probe,
   Row row;
   if (!build->OpenRead(ctx, node_id())) return false;
   while (build->ReadNext(ctx, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
-    size_t part = JoinPartitionIndex(RowHash()(key), child_depth);
+    build_key_.Load(row);
+    QPROG_DCHECK(!build_key_.HasNull());  // NULL build keys were never spilled
+    size_t part = JoinPartitionIndex(build_key_.Hash(), child_depth);
     if (!child_build[part]->Append(ctx, node_id(), row)) return false;
     ++grace_rows_written_;
   }
@@ -666,9 +691,8 @@ bool HashJoin::RefineOne(ExecContext* ctx, SpillRunPtr build, SpillRunPtr probe,
   }
   if (!probe->OpenRead(ctx, node_id())) return false;
   while (probe->ReadNext(ctx, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, probe_keys_, &has_null);
-    size_t part = JoinPartitionIndex(RowHash()(key), child_depth);
+    probe_key_.Load(row);
+    size_t part = JoinPartitionIndex(probe_key_.Hash(), child_depth);
     if (!child_probe[part]->Append(ctx, node_id(), row)) return false;
     ++grace_rows_written_;
   }
@@ -693,16 +717,15 @@ bool HashJoin::LoadPartition(ExecContext* ctx) {
   if (!build_run->OpenRead(ctx, node_id())) return false;
   Row row;
   while (build_run->ReadNext(ctx, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
+    build_key_.Load(row);
+    QPROG_DCHECK(!build_key_.HasNull());  // NULL build keys were never spilled
     // A reloaded partition answers to the kill threshold only: the soft
     // budget already traded memory for these extra I/O passes.
     if (!ctx->ChargeBufferedRowsPostSpill(1)) return false;
-    auto& bucket = table_[std::move(key)];
-    bucket.push_back(std::move(row));
+    max_bucket_ = std::max(max_bucket_, InsertBuildRow(&table_, &table_rows_,
+                                                       build_key_, &stored_key_,
+                                                       &row));
     ++charged_;
-    max_bucket_ = std::max<uint64_t>(max_bucket_, bucket.size());
   }
   if (!ctx->ok()) return false;
   if (!grace_leaves_[static_cast<size_t>(part_idx_)].probe->OpenRead(
@@ -714,7 +737,8 @@ bool HashJoin::LoadPartition(ExecContext* ctx) {
 }
 
 void HashJoin::UnloadPartition(ExecContext* ctx) {
-  table_.clear();
+  table_.Clear();
+  table_rows_.clear();
   ctx->ReleaseBufferedRows(charged_);
   charged_ = 0;
   grace_leaves_[static_cast<size_t>(part_idx_)].build.reset();  // delete files
@@ -840,50 +864,46 @@ void HashJoin::JoinPartitionTask(TaskContext* tc, SpillRun* build_run,
     }
     return out->overflow->Append(tc, node_id(), joined);
   };
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table;
+  RowHashTable table;
+  std::vector<Row> rows;
+  RowKey build_key(build_keys_);
+  RowKey probe_key(probe_keys_);
+  RowKey stored_key(build_keys_);
   Row row;
   bool ok = build_run->OpenRead(tc, node_id());
   while (ok && build_run->ReadNext(tc, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, build_keys_, &has_null);
-    QPROG_DCHECK(!has_null);  // NULL build keys were never spilled
+    build_key.Load(row);
+    QPROG_DCHECK(!build_key.HasNull());  // NULL build keys were never spilled
     if (!tc->ChargeBufferedRowsPostSpill(1)) {
       ok = false;
       break;
     }
-    auto& bucket = table[std::move(key)];
-    bucket.push_back(std::move(row));
-    out->max_bucket = std::max<uint64_t>(out->max_bucket, bucket.size());
+    out->max_bucket = std::max(
+        out->max_bucket,
+        InsertBuildRow(&table, &rows, build_key, &stored_key, &row));
   }
   ok = ok && tc->ok() && probe_run->OpenRead(tc, node_id());
   while (ok && probe_run->ReadNext(tc, node_id(), &row)) {
-    bool has_null = false;
-    Row key = KeyOf(row, probe_keys_, &has_null);
-    const std::vector<Row>* bucket = nullptr;
-    if (!has_null) {
-      auto it = table.find(key);
-      if (it != table.end()) bucket = &it->second;
-    }
+    probe_key.Load(row);
     // Match logic mirrors DoNext's serial loop row for row, so the folded
     // output (partition order, probe order within each) is byte-identical
     // to the serial partition replay.
     bool matched = false;
-    if (bucket != nullptr) {
-      for (const Row& build_row : *bucket) {
-        Row joined = ConcatRows(row, build_row);
-        if (!PredicatePasses(residual_.get(), joined)) continue;
-        matched = true;
-        if (join_type_ == JoinType::kInner ||
-            join_type_ == JoinType::kLeftOuter) {
-          if (!emit(std::move(joined))) {
-            ok = false;
-            break;
-          }
-          continue;
+    for (uint32_t e = FindBuildRows(table, rows, probe_key, &stored_key);
+         e != RowHashTable::kEnd; e = table.next(e)) {
+      Row joined = ConcatRows(row, rows[e]);
+      if (!PredicatePasses(residual_.get(), joined)) continue;
+      matched = true;
+      if (join_type_ == JoinType::kInner ||
+          join_type_ == JoinType::kLeftOuter) {
+        if (!emit(std::move(joined))) {
+          ok = false;
+          break;
         }
-        if (join_type_ == JoinType::kLeftSemi && !emit(Row(row))) ok = false;
-        break;  // semi: one output per probe row; anti: match disqualifies
+        continue;
       }
+      if (join_type_ == JoinType::kLeftSemi && !emit(Row(row))) ok = false;
+      break;  // semi: one output per probe row; anti: match disqualifies
     }
     if (ok && !matched) {
       if (join_type_ == JoinType::kLeftOuter) {
@@ -946,14 +966,8 @@ bool HashJoin::AdvanceProbe(ExecContext* ctx) {
     }
     probe_valid_ = true;
     probe_matched_ = false;
-    bucket_ = nullptr;
-    bucket_pos_ = 0;
-    bool has_null = false;
-    Row key = KeyOf(probe_row_, probe_keys_, &has_null);
-    if (!has_null) {
-      auto it = table_.find(key);
-      if (it != table_.end()) bucket_ = &it->second;
-    }
+    probe_key_.Load(probe_row_);
+    match_ = FindBuildRows(table_, table_rows_, probe_key_, &stored_key_);
     return true;
   }
 }
@@ -998,38 +1012,32 @@ bool HashJoin::DoNext(ExecContext* ctx, Row* out) {
         return false;
       }
     }
-    if (bucket_ != nullptr) {
-      bool anti_rejected = false;
-      while (bucket_pos_ < bucket_->size()) {
-        const Row& build_row = (*bucket_)[bucket_pos_++];
-        Row joined = ConcatRows(probe_row_, build_row);
-        if (!PredicatePasses(residual_.get(), joined)) continue;
-        probe_matched_ = true;
-        if (join_type_ == JoinType::kInner ||
-            join_type_ == JoinType::kLeftOuter) {
-          *out = std::move(joined);
-          Emit(ctx);
-          return true;
-        }
-        if (join_type_ == JoinType::kLeftSemi) {
-          *out = probe_row_;
-          Emit(ctx);
-          probe_valid_ = false;
-          return true;
-        }
-        anti_rejected = true;  // kLeftAnti
-        break;
+    while (match_ != RowHashTable::kEnd) {
+      const Row& build_row = table_rows_[match_];
+      match_ = table_.next(match_);
+      // The candidate is built in the caller's row, whose capacity repeats
+      // across calls; *out is only meaningful once DoNext returns true.
+      ConcatInto(probe_row_, build_row, out);
+      if (!PredicatePasses(residual_.get(), *out)) continue;
+      probe_matched_ = true;
+      if (join_type_ == JoinType::kInner ||
+          join_type_ == JoinType::kLeftOuter) {
+        Emit(ctx);
+        return true;
       }
-      if (anti_rejected) {
+      if (join_type_ == JoinType::kLeftSemi) {
+        *out = probe_row_;
+        Emit(ctx);
         probe_valid_ = false;
-        continue;
+        return true;
       }
+      break;  // kLeftAnti: a match disqualifies the probe row
     }
-    // Bucket exhausted (or no bucket).
+    // Matches exhausted (or none).
     if (!probe_matched_) {
       if (join_type_ == JoinType::kLeftOuter) {
-        *out = ConcatRows(probe_row_,
-                          NullRow(build_->output_schema().num_fields()));
+        out->assign(probe_row_.begin(), probe_row_.end());
+        out->resize(probe_row_.size() + build_->output_schema().num_fields());
         probe_valid_ = false;
         Emit(ctx);
         return true;
@@ -1066,7 +1074,8 @@ bool HashJoin::DoNextBatch(ExecContext* ctx, RowBatch* out) {
 void HashJoin::DoClose(ExecContext* ctx) {
   probe_->Close(ctx);
   build_->Close(ctx);
-  table_.clear();
+  table_ = RowHashTable();
+  table_rows_ = std::vector<Row>();
   build_parts_.clear();  // deletes any remaining spill temp files
   probe_parts_.clear();
   grace_leaves_.clear();

@@ -14,10 +14,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/operator.h"
+#include "exec/row_hash_table.h"
 #include "exec/scan.h"
 #include "exec/spill.h"
 #include "expr/expr.h"
@@ -210,19 +210,16 @@ class HashJoin : public PhysicalOperator {
 
   void BuildTable(ExecContext* ctx);
   bool AdvanceProbe(ExecContext* ctx);
-  /// Evaluates `keys` over `row`; sets *has_null when any key value is NULL.
-  Row KeyOf(const Row& row, const std::vector<ExprPtr>& keys,
-            bool* has_null) const;
   /// Dumps the in-memory build table into kSpillFanout partition runs and
   /// switches to Grace mode.
   bool SpillBuildTable(ExecContext* ctx, PartitionWriter* writer);
   /// Creates all kSpillFanout runs in `parts` if none exist yet.
   bool EnsureRuns(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
                   const char* phase);
-  /// Routes `row` to its hash partition: directly into the run when `writer`
-  /// is null (serial path), else buffered through the writer.
+  /// Routes `row` to the partition of its key hash: directly into the run
+  /// when `writer` is null (serial path), else buffered through the writer.
   bool AppendToPartition(ExecContext* ctx, std::vector<SpillRunPtr>* parts,
-                         const char* phase, const Row& key, const Row& row,
+                         const char* phase, size_t hash, const Row& row,
                          PartitionWriter* writer);
   /// Drains the probe child into probe partition runs (Grace mode only).
   void PartitionProbe(ExecContext* ctx);
@@ -268,7 +265,14 @@ class HashJoin : public PhysicalOperator {
   Schema schema_;
 
   bool build_done_ = false;
-  std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table_;
+  // Build table (DESIGN.md §18): table_ chains entry ids that index
+  // table_rows_, per key in insertion order. The key readers are the query
+  // thread's; a parallel partition task owns its own.
+  RowHashTable table_;
+  std::vector<Row> table_rows_;
+  RowKey build_key_;
+  RowKey probe_key_;
+  RowKey stored_key_;  // a stored build row's key, read during compares
   uint64_t build_rows_ = 0;
   uint64_t max_bucket_ = 0;
   uint64_t charged_ = 0;  // rows charged to the context's buffer budget
@@ -276,8 +280,7 @@ class HashJoin : public PhysicalOperator {
   Row probe_row_;
   bool probe_valid_ = false;
   bool probe_matched_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  uint32_t match_ = RowHashTable::kEnd;  // next build entry to try
 
   // Grace-mode state (unused until the build overflows the soft budget).
   // The row counters are query-thread-only: worker tasks report theirs

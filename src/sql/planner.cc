@@ -351,9 +351,18 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
   for (const JoinClause& j : stmt.joins) {
     CollectConjuncts(j.on.get(), &conjuncts);
   }
+  // An aggregate is evaluated over groups, after every row filter has run,
+  // so a WHERE/ON conjunct cannot reference one.
+  for (const SqlExpr* c : conjuncts) {
+    if (ContainsAggregate(c)) {
+      return InvalidArgument(StringPrintf(
+          "aggregate not allowed in WHERE or ON: '%s' (use HAVING)",
+          Render(*c).c_str()));
+    }
+  }
 
   // Conjunct placement, settled on the full table schemas before any column
-  // is pruned: each non-aggregate conjunct merges into the first scan whose
+  // is pruned: each conjunct merges into the first scan whose
   // table resolves it alone, else into the first join whose combined inputs
   // resolve it (as an equi-key or a residual), else into the Filter above
   // the joins. Deciding here keeps placement independent of what the scans
@@ -365,7 +374,6 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
     auto place = [&](const Scope& scope, Placement where, size_t r) {
       for (size_t i = 0; i < conjuncts.size(); ++i) {
         if (placement[i] != Placement::kNone ||
-            ContainsAggregate(conjuncts[i]) ||
             !scope.CanResolve(*conjuncts[i])) {
           continue;
         }
@@ -383,8 +391,7 @@ StatusOr<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Database& db,
       if (r > 0) place(combined, Placement::kJoin, r);
     }
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (placement[i] == Placement::kNone &&
-          !ContainsAggregate(conjuncts[i])) {
+      if (placement[i] == Placement::kNone) {
         placement[i] = Placement::kFilter;
       }
     }

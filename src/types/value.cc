@@ -198,10 +198,8 @@ std::string RowToString(const Row& row) {
 }
 
 size_t RowHash::operator()(const Row& row) const {
-  size_t h = 0x84222325u;
-  for (const Value& v : row) {
-    h ^= v.Hash() + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  }
+  size_t h = kRowHashSeed;
+  for (const Value& v : row) h = RowHashStep(h, v.Hash());
   return h;
 }
 

@@ -36,6 +36,23 @@ class Value {
   /// SQL NULL.
   Value() : type_(TypeId::kNull) {}
 
+  // A copy touches string_ only when either side is a string, so a numeric,
+  // date, bool or NULL copy is a tag + union copy. Non-string values always
+  // hold an empty string_.
+  Value(const Value& other) : type_(other.type_), u_(other.u_) {
+    if (other.type_ == TypeId::kString) string_ = other.string_;
+  }
+  Value& operator=(const Value& other) {
+    if (type_ == TypeId::kString || other.type_ == TypeId::kString) {
+      string_ = other.string_;
+    }
+    type_ = other.type_;
+    u_ = other.u_;
+    return *this;
+  }
+  Value(Value&&) noexcept = default;
+  Value& operator=(Value&&) noexcept = default;
+
   static Value Null() { return Value(); }
   static Value Bool(bool v);
   static Value Int64(int64_t v);
@@ -96,6 +113,13 @@ using Row = std::vector<Value>;
 
 /// Renders "(v1, v2, ...)" for debugging.
 std::string RowToString(const Row& row);
+
+/// RowHash's seed and per-value fold, shared with the in-place key hash of
+/// exec/row_hash_table.h so both give the same bits.
+inline constexpr size_t kRowHashSeed = 0x84222325u;
+inline size_t RowHashStep(size_t h, size_t value_hash) {
+  return h ^ (value_hash + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
 
 /// Hash/equality over whole rows (grouping semantics), usable as functors in
 /// unordered containers keyed by Row.

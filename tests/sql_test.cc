@@ -290,6 +290,42 @@ TEST_F(SqlEndToEndTest, PlannerErrors) {
       ExecuteSql("SELECT dept_id FROM emp, dept", *db_).ok());
 }
 
+// An aggregate in WHERE or ON is rejected with a pointer to HAVING instead
+// of being dropped from the plan (which returned every row).
+TEST_F(SqlEndToEndTest, AggregateInWhereOrOnIsRejected) {
+  auto where = ExecuteSql("SELECT emp_id FROM emp WHERE count(*) > 5", *db_);
+  ASSERT_FALSE(where.ok());
+  EXPECT_EQ(where.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(where.status().message().find("count(*)"), std::string::npos)
+      << where.status();
+  EXPECT_NE(where.status().message().find("HAVING"), std::string::npos);
+
+  auto mixed = PlanSql(
+      "SELECT emp_id FROM emp WHERE salary > 10 AND sum(salary) > 100", *db_);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mixed.status().message().find("sum(salary)"), std::string::npos)
+      << mixed.status();
+
+  auto on = ExecuteSql(
+      "SELECT e.name FROM emp e JOIN dept d ON e.dept_id = d.dept_id AND "
+      "max(e.salary) > 100",
+      *db_);
+  ASSERT_FALSE(on.ok());
+  EXPECT_EQ(on.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(on.status().message().find("HAVING"), std::string::npos);
+
+  // The same predicate under HAVING plans and runs.
+  auto having = ExecuteSql(
+      "SELECT dept_id, count(*) FROM emp GROUP BY dept_id HAVING count(*) > 1 "
+      "ORDER BY dept_id",
+      *db_);
+  ASSERT_TRUE(having.ok()) << having.status();
+  ASSERT_EQ(having->size(), 2u);
+  EXPECT_EQ((*having)[0][0].int64_value(), 1);
+  EXPECT_EQ((*having)[1][0].int64_value(), 2);
+}
+
 TEST_F(SqlEndToEndTest, PlanShapeHasMergedScanPredicate) {
   auto plan = PlanSql("SELECT name FROM emp WHERE salary > 100", *db_);
   ASSERT_TRUE(plan.ok()) << plan.status();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "types/compare_op.h"
 #include "types/date.h"
 #include "types/schema.h"
@@ -65,6 +69,71 @@ TEST(ValueTest, ToStringFormats) {
   EXPECT_EQ(Value::Int64(-3).ToString(), "-3");
   EXPECT_EQ(Value::Bool(false).ToString(), "false");
   EXPECT_EQ(Value::Date(0).ToString(), "1970-01-01");
+}
+
+// Copies and moves across every type transition: a string's bytes follow
+// only string sources, and a value that stops being a string reads as the
+// new type with no string left behind.
+TEST(ValueTest, CopyAndMoveAcrossTypeTransitions) {
+  const std::string long_text(40, 'z');  // past the small-string buffer
+  const std::vector<Value> samples = {
+      Value::Null(),        Value::Bool(true),     Value::Int64(-7),
+      Value::Double(2.5),   Value::Date(19000),    Value::String("short"),
+      Value::String(long_text)};
+  for (const Value& from : samples) {
+    for (const Value& to : samples) {
+      Value copied = to;
+      copied = from;  // copy-assign over every starting type
+      EXPECT_EQ(copied.type(), from.type());
+      EXPECT_TRUE(copied.EqualsForGrouping(from)) << from << " over " << to;
+      EXPECT_EQ(copied.ToString(), from.ToString());
+
+      Value moved = to;
+      Value source = from;
+      moved = std::move(source);  // move-assign over every starting type
+      EXPECT_EQ(moved.type(), from.type());
+      EXPECT_TRUE(moved.EqualsForGrouping(from)) << from << " over " << to;
+
+      // A moved-from value stays usable: reassign it and read it back.
+      source = to;
+      EXPECT_TRUE(source.EqualsForGrouping(to));
+    }
+    Value constructed(from);
+    EXPECT_TRUE(constructed.EqualsForGrouping(from));
+    Value temp = from;
+    Value move_constructed(std::move(temp));
+    EXPECT_TRUE(move_constructed.EqualsForGrouping(from));
+    temp = Value::Int64(3);
+    EXPECT_EQ(temp.int64_value(), 3);
+  }
+
+  // string -> int -> string: no bytes of the old string survive.
+  Value v = Value::String(long_text);
+  v = Value::Int64(42);
+  EXPECT_EQ(v.type(), TypeId::kInt64);
+  EXPECT_EQ(v.int64_value(), 42);
+  EXPECT_EQ(v.ToString(), "42");
+  v = Value::String("ab");
+  EXPECT_EQ(v.string_value(), "ab");
+  v = Value::Double(1.0);
+  EXPECT_TRUE(v.EqualsForGrouping(Value::Int64(1)));
+  EXPECT_EQ(v.Hash(), Value::Int64(1).Hash());
+}
+
+TEST(ValueTest, SelfAssignmentKeepsTheValue) {
+  for (const Value& sample :
+       {Value::Int64(9), Value::String("self"),
+        Value::String(std::string(33, 'q')), Value::Null()}) {
+    Value v = sample;
+    Value& alias = v;
+    v = alias;
+    EXPECT_TRUE(v.EqualsForGrouping(sample));
+    EXPECT_EQ(v.ToString(), sample.ToString());
+    // Self-move leaves a valid (unspecified) value that takes a new one.
+    v = std::move(alias);
+    v = Value::String("after");
+    EXPECT_EQ(v.string_value(), "after");
+  }
 }
 
 TEST(RowTest, RowHashAndEquality) {
