@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "server/query_server.h"
+#include "sql/fingerprint.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 
@@ -145,15 +146,20 @@ int main() {
                 static_cast<unsigned long long>(r.granted_rows));
   }
 
-  // 4. Drain and inspect what the fleet learned per template.
+  // 4. Drain and inspect what the fleet learned per template: the workload
+  //    aggregates admission predicts from, read from the server's history
+  //    store (a memory-only one here; pass ServerOptions::cross_run with a
+  //    log to keep them across restarts).
   server.Shutdown();
   std::printf("\n-- learned priors --\n");
-  for (const auto& s : server.workload_stats().Snapshot()) {
+  for (const char* query : {kReport, kTotal}) {
+    uint64_t fingerprint = sql::TemplateFingerprint(query);
+    WorkloadStats stats = server.cross_run().LookupWorkload(fingerprint);
     std::printf("template %016llx: runs=%llu, max peak=%llu rows, mean wall=%.1f ms\n",
-                static_cast<unsigned long long>(s.fingerprint),
-                static_cast<unsigned long long>(s.stats.runs),
-                static_cast<unsigned long long>(s.stats.max_peak_buffered_rows),
-                static_cast<double>(s.stats.MeanWallNanos()) / 1e6);
+                static_cast<unsigned long long>(fingerprint),
+                static_cast<unsigned long long>(stats.runs),
+                static_cast<unsigned long long>(stats.max_peak_buffered_rows),
+                static_cast<double>(stats.MeanWallNanos()) / 1e6);
   }
   std::printf("\nfleet served %llu queries, shed %llu\n",
               static_cast<unsigned long long>(server.submitted()),

@@ -127,6 +127,32 @@ std::string Num(double v) {
 
 }  // namespace
 
+void WorkloadStats::Add(const WorkloadObservation& obs) {
+  ++runs;
+  if (obs.completed) ++completed_runs;
+  total_work += obs.work;
+  total_spill_work += obs.spill_work;
+  total_root_rows += obs.root_rows;
+  total_wall_ns += obs.wall_ns;
+  total_peak_buffered_rows += obs.peak_buffered_rows;
+  max_peak_buffered_rows = std::max(max_peak_buffered_rows,
+                                    obs.peak_buffered_rows);
+  max_work = std::max(max_work, obs.work);
+}
+
+void WorkloadStats::Merge(const WorkloadStats& other) {
+  runs += other.runs;
+  completed_runs += other.completed_runs;
+  total_work += other.total_work;
+  total_spill_work += other.total_spill_work;
+  total_root_rows += other.total_root_rows;
+  total_wall_ns += other.total_wall_ns;
+  total_peak_buffered_rows += other.total_peak_buffered_rows;
+  max_peak_buffered_rows = std::max(max_peak_buffered_rows,
+                                    other.max_peak_buffered_rows);
+  max_work = std::max(max_work, other.max_work);
+}
+
 double CrossRunNodeStats::RmsLogError() const {
   return runs > 0 ? std::sqrt(sum_sq_log_err / static_cast<double>(runs)) : 0;
 }
@@ -143,18 +169,19 @@ double CrossRunEstimatorStats::DecileError(int d) const {
 
 CrossRunObservation BuildCrossRunObservation(uint64_t fingerprint,
                                              const ProgressReport& report,
-                                             uint64_t wall_ns) {
+                                             uint64_t wall_ns,
+                                             bool with_history) {
   CrossRunObservation obs;
   obs.fingerprint = fingerprint;
   obs.plan_signature = report.plan_signature;
-  obs.completed = report.completed();
+  obs.completed = report.completed() && with_history;
   obs.workload.completed = report.completed();
   obs.workload.work = report.total_work;
   obs.workload.spill_work = report.spill_work;
   obs.workload.peak_buffered_rows = report.peak_buffered_rows;
   obs.workload.root_rows = report.root_rows;
   obs.workload.wall_ns = wall_ns;
-  if (!report.completed()) return obs;
+  if (!obs.completed) return obs;
 
   obs.nodes.reserve(report.node_stats.size());
   for (const NodeRunStat& n : report.node_stats) {
@@ -371,17 +398,7 @@ void CrossRunRegistry::RecordLocked(const CrossRunObservation& obs) {
   ++stats.runs;
   if (obs.completed) ++stats.completed_runs;
 
-  WorkloadStats& w = stats.workload;
-  ++w.runs;
-  if (obs.workload.completed) ++w.completed_runs;
-  w.total_work += obs.workload.work;
-  w.total_spill_work += obs.workload.spill_work;
-  w.total_root_rows += obs.workload.root_rows;
-  w.total_wall_ns += obs.workload.wall_ns;
-  w.total_peak_buffered_rows += obs.workload.peak_buffered_rows;
-  w.max_peak_buffered_rows =
-      std::max(w.max_peak_buffered_rows, obs.workload.peak_buffered_rows);
-  w.max_work = std::max(w.max_work, obs.workload.work);
+  stats.workload.Add(obs.workload);
 
   if (!obs.completed) return;  // partial counts would bias the priors
 
@@ -428,17 +445,7 @@ void CrossRunRegistry::MergeAggregateLocked(
   stats.runs += incoming.runs;
   stats.completed_runs += incoming.completed_runs;
 
-  WorkloadStats& w = stats.workload;
-  w.runs += incoming.workload.runs;
-  w.completed_runs += incoming.workload.completed_runs;
-  w.total_work += incoming.workload.total_work;
-  w.total_spill_work += incoming.workload.total_spill_work;
-  w.total_root_rows += incoming.workload.total_root_rows;
-  w.total_wall_ns += incoming.workload.total_wall_ns;
-  w.total_peak_buffered_rows += incoming.workload.total_peak_buffered_rows;
-  w.max_peak_buffered_rows = std::max(w.max_peak_buffered_rows,
-                                      incoming.workload.max_peak_buffered_rows);
-  w.max_work = std::max(w.max_work, incoming.workload.max_work);
+  stats.workload.Merge(incoming.workload);
 
   for (const auto& [node_id, in] : incoming.nodes) {
     CrossRunNodeStats& ns = stats.nodes[node_id];
@@ -469,6 +476,7 @@ void CrossRunRegistry::MergeAggregateLocked(
 Status CrossRunRegistry::OpenLog(const std::string& path,
                                  RegistryLogOptions options,
                                  RegistryRecoveryReport* recovery) {
+  std::lock_guard<std::mutex> log_lock(log_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   if (log_ != nullptr) return Internal("cross-run registry log already open");
   auto visitor = [this](const std::string& payload) {
@@ -502,8 +510,11 @@ Status CrossRunRegistry::OpenLog(const std::string& path,
 }
 
 Status CrossRunRegistry::RecordRun(const CrossRunObservation& obs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordLocked(obs);
+  std::lock_guard<std::mutex> log_lock(log_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RecordLocked(obs);
+  }
   if (log_ == nullptr) return OkStatus();
   QPROG_RETURN_IF_ERROR(log_->Append(EncodeCrossRunObservation(obs)));
   return log_->Sync();
@@ -515,28 +526,31 @@ void CrossRunRegistry::Record(const CrossRunObservation& obs) {
 }
 
 Status CrossRunRegistry::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> log_lock(log_mu_);
   if (log_ == nullptr) return Internal("cross-run registry has no log");
   std::vector<std::string> records;
-  records.reserve(by_template_.size());
-  for (const auto& [fingerprint, stats] : by_template_) {
-    records.push_back(EncodeCrossRunAggregate(stats));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    records.reserve(by_template_.size());
+    for (const auto& [fingerprint, stats] : by_template_) {
+      records.push_back(EncodeCrossRunAggregate(stats));
+    }
   }
   return log_->Compact(records);
 }
 
 bool CrossRunRegistry::log_open() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr;
 }
 
 uint64_t CrossRunRegistry::log_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr ? log_->bytes() : 0;
 }
 
 uint64_t CrossRunRegistry::log_io_retries() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(log_mu_);
   return log_ != nullptr ? log_->io_retries() : 0;
 }
 
@@ -628,13 +642,10 @@ CrossRunPriorReport CrossRunRegistry::ApplyPriors(uint64_t fingerprint,
   return report;
 }
 
-void CrossRunRegistry::ExportWorkloadStats(WorkloadStatsRegistry* out) const {
-  QPROG_CHECK(out != nullptr);
+WorkloadStats CrossRunRegistry::LookupWorkload(uint64_t fingerprint) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [fingerprint, stats] : by_template_) {
-    if (stats.workload.runs == 0) continue;
-    out->Merge(fingerprint, stats.workload);
-  }
+  auto it = by_template_.find(fingerprint);
+  return it != by_template_.end() ? it->second.workload : WorkloadStats();
 }
 
 std::vector<CrossRunRegistry::Offender> CrossRunRegistry::WorstOffenders(

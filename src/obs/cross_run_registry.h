@@ -23,10 +23,12 @@
 //    only by the estimators (never the BoundsTracker), so re-seeding cannot
 //    violate Curr <= LB <= UB.
 //
-//  * Admission priors: each template's WorkloadStats aggregate rides in the
-//    same records, so ExportWorkloadStats() rehydrates a
-//    WorkloadStatsRegistry after restart and the admission controller's
-//    predictions survive a crash.
+//  * Admission priors (LearnedWMP, PAPERS.md): each template's WorkloadStats
+//    aggregate — peak buffered rows (the memory proxy), work, spill work,
+//    result rows, wall time — rides in the same records. Every run of the
+//    template folds into it, monitored or not, completed or aborted, so the
+//    admission controller (server/admission.h) predicts from the same
+//    records the log persists and its predictions survive a restart.
 //
 // Persistence is a RegistryLog (storage/registry_log.h): every RecordRun
 // appends one observation record and fsyncs; Compact() rewrites the log as
@@ -35,7 +37,8 @@
 // — and the in-memory state is exactly the fold of the recovered records.
 //
 // Thread-safe: server sessions record concurrently while Submit-time
-// selection reads.
+// admission and selection read. Log I/O runs under its own lock, so readers
+// never wait on a concurrent fsync.
 
 #ifndef QPROG_OBS_CROSS_RUN_REGISTRY_H_
 #define QPROG_OBS_CROSS_RUN_REGISTRY_H_
@@ -48,7 +51,6 @@
 #include <vector>
 
 #include "core/monitor.h"
-#include "obs/workload_stats.h"
 #include "storage/registry_log.h"
 
 namespace qprog {
@@ -58,6 +60,46 @@ class PhysicalPlan;
 /// True-progress deciles the estimator error series is bucketed into:
 /// bucket d covers (d/10, (d+1)/10].
 inline constexpr int kProgressDeciles = 10;
+
+/// One run's resource figures — a finished, aborted or unmonitored run.
+struct WorkloadObservation {
+  bool completed = false;
+  uint64_t work = 0;
+  uint64_t spill_work = 0;
+  uint64_t peak_buffered_rows = 0;
+  uint64_t root_rows = 0;
+  uint64_t wall_ns = 0;
+};
+
+/// Aggregate over every workload observation of one template. The wall-time
+/// figures are the only nondeterministic ones; admission decisions never
+/// read them (they feed the predicted-wait hint only).
+struct WorkloadStats {
+  uint64_t runs = 0;  // observations recorded (completed + aborted)
+  uint64_t completed_runs = 0;
+  uint64_t total_work = 0;
+  uint64_t total_spill_work = 0;
+  uint64_t total_root_rows = 0;
+  uint64_t total_wall_ns = 0;
+  uint64_t total_peak_buffered_rows = 0;
+  uint64_t max_peak_buffered_rows = 0;
+  uint64_t max_work = 0;
+
+  /// Folds one run in.
+  void Add(const WorkloadObservation& obs);
+  /// Folds a whole aggregate in: sums add, maxima max-merge, so merging
+  /// into a zero aggregate reproduces `other` exactly.
+  void Merge(const WorkloadStats& other);
+
+  /// Mean peak buffered rows over all observations (0 with no runs).
+  uint64_t MeanPeakBufferedRows() const {
+    return runs > 0 ? total_peak_buffered_rows / runs : 0;
+  }
+  /// Mean wall time per run in nanoseconds (0 with no runs).
+  uint64_t MeanWallNanos() const {
+    return runs > 0 ? total_wall_ns / runs : 0;
+  }
+};
 
 /// rstats-style cardinality-error aggregate for one (template, node) pair.
 /// Errors are |log(actual/est)| per run (LogScaleError, obs/accuracy.h).
@@ -122,7 +164,8 @@ struct CrossRunTemplateStats {
   /// a new plan's signature differs (plan shape drifted); the signature of
   /// the *latest* recorded run wins, so a changed template relearns.
   uint64_t plan_signature = 0;
-  uint64_t runs = 0;
+  uint64_t runs = 0;  // every observation
+  /// Observations carrying node and estimator history (the warmth gate).
   uint64_t completed_runs = 0;
   std::map<int, CrossRunNodeStats> nodes;
   std::map<std::string, CrossRunEstimatorStats> estimators;
@@ -130,9 +173,14 @@ struct CrossRunTemplateStats {
 };
 
 /// One run's contribution to the registry — the unit of the on-disk log.
+/// A workload-only observation (aborted, unmonitored, or recorded without
+/// learning) has `completed` false and no nodes or estimators; it still
+/// carries the plan's signature, so it never reads as a plan-shape change.
 struct CrossRunObservation {
   uint64_t fingerprint = 0;
   uint64_t plan_signature = 0;
+  /// True when the observation carries a completed run's node and estimator
+  /// history; workload.completed says whether the run itself completed.
   bool completed = false;
   WorkloadObservation workload;
 
@@ -161,10 +209,12 @@ struct CrossRunObservation {
 /// Builds the observation for a finished monitored run. Node and estimator
 /// entries exist only for completed runs: true progress is unknowable for an
 /// aborted run, and its actual row counts are partial (a lower bound) — so
-/// an aborted run contributes workload figures only.
+/// an aborted run contributes workload figures only. `with_history` false
+/// builds the workload-only observation for a completed run too.
 CrossRunObservation BuildCrossRunObservation(uint64_t fingerprint,
                                              const ProgressReport& report,
-                                             uint64_t wall_ns);
+                                             uint64_t wall_ns,
+                                             bool with_history = true);
 
 /// What ApplyPriors did to one plan.
 struct CrossRunPriorReport {
@@ -185,6 +235,9 @@ class CrossRunRegistry {
   static const std::vector<std::string>& SelectionCandidates();
   /// The deterministic pick for a template with insufficient history.
   static constexpr const char* kColdFallback = "dne_bounded";
+  /// Completed runs a template needs before its history is trusted — the k
+  /// of both prior feedback and auto-selection warmth.
+  static constexpr uint64_t kMinRuns = 3;
 
   CrossRunRegistry() = default;
   CrossRunRegistry(const CrossRunRegistry&) = delete;
@@ -227,7 +280,8 @@ class CrossRunRegistry {
   CrossRunTemplateStats Lookup(uint64_t fingerprint,
                                bool* found = nullptr) const;
   size_t num_templates() const;
-  /// Completed runs recorded for `fingerprint` (selection's warmth gate).
+  /// Completed runs with history recorded for `fingerprint` (the warmth
+  /// gate; workload-only observations do not count).
   uint64_t CompletedRunsFor(uint64_t fingerprint) const;
 
   /// König-style selection: the candidate with the lowest historical
@@ -236,7 +290,7 @@ class CrossRunRegistry {
   /// kColdFallback when no candidate qualifies. Deterministic given the
   /// registry state.
   std::string SelectEstimator(uint64_t fingerprint,
-                              uint64_t min_runs = 3) const;
+                              uint64_t min_runs = kMinRuns) const;
 
   /// Re-seeds `plan`'s estimated_rows from the template's observed mean
   /// actual rows, for nodes with >= `min_runs` error-contributing runs.
@@ -245,11 +299,12 @@ class CrossRunRegistry {
   /// <= StaticPerPassUpperBound(node) (else that prior is discarded and
   /// counted). Never touches the BoundsTracker's inputs.
   CrossRunPriorReport ApplyPriors(uint64_t fingerprint, PhysicalPlan* plan,
-                                  uint64_t min_runs = 3) const;
+                                  uint64_t min_runs = kMinRuns) const;
 
-  /// Merges every template's workload aggregate into `out` — the admission
-  /// controller's restart path.
-  void ExportWorkloadStats(WorkloadStatsRegistry* out) const;
+  /// The template's workload aggregate (zero for an unseen template) — the
+  /// admission priors. Copies only the aggregate, not the node and
+  /// estimator maps Lookup copies, because it runs on every Submit.
+  WorkloadStats LookupWorkload(uint64_t fingerprint) const;
 
   // --- reports -------------------------------------------------------------
 
@@ -270,9 +325,14 @@ class CrossRunRegistry {
   void MergeAggregateLocked(const CrossRunTemplateStats& stats);
   std::string SelectLocked(uint64_t fingerprint, uint64_t min_runs) const;
 
+  // Lock order: log_mu_ before mu_. log_mu_ serializes log I/O (append +
+  // fsync, compaction) and spans a RecordRun's fold and append, so Compact
+  // sees each observation either folded and appended, or neither; mu_
+  // guards the in-memory state and is never held across I/O.
+  mutable std::mutex log_mu_;
+  std::unique_ptr<RegistryLog> log_;  // guarded by log_mu_
   mutable std::mutex mu_;
   std::map<uint64_t, CrossRunTemplateStats> by_template_;
-  std::unique_ptr<RegistryLog> log_;
   uint64_t decode_skipped_ = 0;
 };
 

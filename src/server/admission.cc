@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "exec/query_guard.h"
+#include "obs/cross_run_registry.h"
 
 namespace qprog {
 namespace {
@@ -34,15 +35,14 @@ const char* AdmissionActionToString(AdmissionAction action) {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions options,
-                                         const WorkloadStatsRegistry* priors)
+                                         const CrossRunRegistry* priors)
     : options_(options), priors_(priors) {}
 
 uint64_t AdmissionController::PredictPeakRows(uint64_t fingerprint,
                                               bool* from_prior) const {
   if (priors_ != nullptr) {
-    bool found = false;
-    WorkloadStats stats = priors_->Lookup(fingerprint, &found);
-    if (found && stats.runs > 0) {
+    WorkloadStats stats = priors_->LookupWorkload(fingerprint);
+    if (stats.runs > 0) {
       if (from_prior != nullptr) *from_prior = true;
       double padded =
           static_cast<double>(stats.max_peak_buffered_rows) * options_.headroom;

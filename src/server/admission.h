@@ -3,11 +3,12 @@
 // or shed.
 //
 // Prediction follows the LearnedWMP observation (PAPERS.md): memory demand
-// clusters by query template. Every finished run feeds its template
-// fingerprint (sql/fingerprint.h) and peak buffered rows into the shared
-// WorkloadStatsRegistry; the controller predicts the next run of the same
-// template at max observed peak x a headroom factor. Templates never seen
-// before fall back to a *seeded* pseudo-random prior in
+// clusters by query template. Every run feeds its template fingerprint
+// (sql/fingerprint.h) and peak buffered rows into the shared
+// CrossRunRegistry's workload aggregate (obs/cross_run_registry.h), the
+// same records its log persists; the controller predicts the next run of
+// the same template at max observed peak x a headroom factor. Templates
+// never seen before fall back to a *seeded* pseudo-random prior in
 // [fallback/2, 3*fallback/2): deterministic for a fixed (seed, fingerprint),
 // so a fixed-seed test replays the exact admission sequence while a fleet
 // still avoids the thundering-herd of every cold template predicting the
@@ -29,10 +30,11 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "obs/workload_stats.h"
 #include "server/tenant.h"
 
 namespace qprog {
+
+class CrossRunRegistry;
 
 struct AdmissionOptions {
   /// Seed for the cold-template prediction fallback. Fixing it fixes every
@@ -75,7 +77,7 @@ class AdmissionController {
  public:
   /// `priors` is borrowed and may be null (every template is then cold).
   AdmissionController(AdmissionOptions options,
-                      const WorkloadStatsRegistry* priors);
+                      const CrossRunRegistry* priors);
 
   /// Predicted peak buffered rows for one run of `fingerprint`'s template.
   /// Sets `from_prior` (optional) to whether history existed.
@@ -99,7 +101,7 @@ class AdmissionController {
 
  private:
   AdmissionOptions options_;
-  const WorkloadStatsRegistry* priors_;
+  const CrossRunRegistry* priors_;
 };
 
 }  // namespace qprog

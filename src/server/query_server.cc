@@ -15,17 +15,16 @@ namespace qprog {
 QueryServer::QueryServer(const Database* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
+      own_cross_run_(options_.cross_run == nullptr
+                         ? std::make_unique<CrossRunRegistry>()
+                         : nullptr),
+      cross_run_(options_.cross_run != nullptr ? options_.cross_run
+                                               : own_cross_run_.get()),
       governor_(options_.governor),
-      admission_(options_.admission, &priors_) {
+      admission_(options_.admission, cross_run_) {
   QPROG_CHECK(db_ != nullptr);
   QPROG_CHECK(options_.sessions > 0);
   QPROG_CHECK(options_.checkpoint_interval > 0);
-  if (options_.cross_run != nullptr) {
-    // Rehydrate the admission priors from the crash-safe registry: the
-    // controller predicts from the same per-template aggregates it had
-    // before the restart.
-    options_.cross_run->ExportWorkloadStats(&priors_);
-  }
   threads_.reserve(options_.sessions);
   for (size_t i = 0; i < options_.sessions; ++i) {
     threads_.emplace_back(&QueryServer::SessionLoop, this);
@@ -66,21 +65,21 @@ uint64_t QueryServer::Submit(const std::string& tenant,
   t->fingerprint = sql::TemplateFingerprint(query);
   t->estimator_names = ResolveEstimatorNames(t->opts.estimators);
   if (options_.cross_run != nullptr) {
-    // Resolve "auto" once, here, from the registry state at submission: the
-    // pick rides on the ticket into the session (QueryOptions::auto_pick),
-    // so the fleet row and the run agree even though concurrent runs keep
-    // updating the registry between Submit and execution.
+    // Learning is on (a caller registry). Resolve "auto" once, here, from
+    // the registry state at submission: the pick rides on the ticket into
+    // the session (QueryOptions::auto_pick), so the fleet row and the run
+    // agree even though concurrent runs keep updating the registry between
+    // Submit and execution.
     const std::vector<std::string>& specs =
         t->opts.estimators.empty() ? options_.estimators : t->opts.estimators;
     for (const std::string& spec : specs) {
       if (spec != "auto") continue;
-      t->auto_pick = options_.cross_run->SelectEstimator(
-          t->fingerprint, options_.cross_run_min_runs);
+      t->auto_pick = options_.cross_run->SelectEstimator(t->fingerprint);
       CrossRunTemplateStats stats =
           options_.cross_run->Lookup(t->fingerprint);
       auto es = stats.estimators.find(t->auto_pick);
       if (es != stats.estimators.end() &&
-          es->second.runs >= options_.cross_run_min_runs) {
+          es->second.runs >= CrossRunRegistry::kMinRuns) {
         t->auto_rms_error = es->second.RmsError();
       }
       break;
@@ -252,10 +251,8 @@ void QueryServer::RunTicket(Ticket* t) {
   so.fault_injector = t->opts.fault_injector;
   so.spill_manager = &spill;
   so.telemetry = t->opts.telemetry;
-  so.workload_stats = &priors_;
-  so.cross_run = options_.cross_run;
-  so.cross_run_feedback = options_.cross_run_feedback;
-  so.cross_run_min_runs = options_.cross_run_min_runs;
+  so.cross_run = cross_run_;
+  so.cross_run_learning = options_.cross_run != nullptr;
   so.eta_model = &eta;
   sql::SqlSession session(db_, so);
 
@@ -373,9 +370,8 @@ FleetReport QueryServer::Fleet() const {
         // Predicted wait: this template's historical mean wall time, scaled
         // by how much of the queue is ahead of it per session thread. A
         // display hint only — decisions never read wall time.
-        bool found = false;
-        WorkloadStats stats = priors_.Lookup(t.fingerprint, &found);
-        uint64_t mean_ns = found ? stats.MeanWallNanos() : 0;
+        uint64_t mean_ns =
+            cross_run_->LookupWorkload(t.fingerprint).MeanWallNanos();
         info.predicted_wait_ns =
             mean_ns * (info.queue_position / options_.sessions + 1);
         queued_work_s += static_cast<double>(mean_ns) / 1e9;

@@ -17,7 +17,8 @@
 //        fault, abort, or spill cannot touch another session's state
 //        (cross-query fault isolation); guardrail aborts come back as the
 //        report's status, engine faults as the ticket's status
-//     -> governor Release, priors updated, waiters notified
+//     -> governor Release, run recorded into the history store, waiters
+//        notified
 //   Wait(ticket) returns the QueryResult; Fleet() snapshots every ticket's
 //   state — latest estimator output for running queries, queue position and
 //   predicted-wait hint for queued ones, pool occupancy for the whole fleet.
@@ -51,7 +52,7 @@
 
 #include "core/monitor.h"
 #include "obs/metrics_registry.h"
-#include "obs/workload_stats.h"
+#include "obs/cross_run_registry.h"
 #include "server/admission.h"
 #include "server/memory_governor.h"
 #include "server/tenant.h"
@@ -84,17 +85,16 @@ struct ServerOptions : ExecutionConfig {
   /// Quota for tenants never registered explicitly.
   TenantQuota default_quota;
 
-  /// Cross-run estimator registry (obs/cross_run_registry.h), shared and
-  /// caller-owned. When attached: its persisted workload aggregates seed the
-  /// admission priors at construction (predictions survive a restart),
-  /// every session threads it through for recording and prior feedback, and
-  /// an "auto" estimator spec is resolved per ticket at Submit time — the
-  /// pick rides on the ticket, so the fleet display and the run agree even
-  /// while concurrent runs keep learning.
+  /// Per-template history store (obs/cross_run_registry.h), shared and
+  /// caller-owned. Every run records into it, and admission predictions and
+  /// the predicted-wait hint read its workload aggregates — a log-backed
+  /// registry keeps them across a restart. Attaching one also turns on
+  /// learning (sql/session.h): prior feedback, full history from completed
+  /// monitored runs, and "auto" estimator specs resolved per ticket at
+  /// Submit time — the pick rides on the ticket, so the fleet display and
+  /// the run agree even while concurrent runs keep learning. Null: the
+  /// server keeps a memory-only registry of its own and does not learn.
   CrossRunRegistry* cross_run = nullptr;
-  /// Forwarded to each session's SessionOptions (see sql/session.h).
-  bool cross_run_feedback = true;
-  uint64_t cross_run_min_runs = 3;
 };
 
 /// Per-submission overrides. All pointers are borrowed and must outlive the
@@ -238,7 +238,8 @@ class QueryServer {
   void Shutdown();
 
   const ServerOptions& options() const { return options_; }
-  const WorkloadStatsRegistry& workload_stats() const { return priors_; }
+  /// The history store: options().cross_run, or the server's own.
+  const CrossRunRegistry& cross_run() const { return *cross_run_; }
   const MemoryGovernor& governor() const { return governor_; }
   uint64_t submitted() const;
   uint64_t shed_total() const;
@@ -289,7 +290,9 @@ class QueryServer {
 
   const Database* db_;
   ServerOptions options_;
-  WorkloadStatsRegistry priors_;
+  /// Memory-only history store, made only when options_.cross_run is null.
+  std::unique_ptr<CrossRunRegistry> own_cross_run_;
+  CrossRunRegistry* cross_run_;  // options_.cross_run or own_cross_run_
   MemoryGovernor governor_;
   AdmissionController admission_;
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "exec/plan.h"
 #include "obs/telemetry.h"
 #include "sql/fingerprint.h"
 
@@ -16,19 +17,14 @@ SqlSession::SqlSession(const Database* db, SessionOptions options)
   QPROG_CHECK(options_.checkpoint_interval > 0);
 }
 
-void SqlSession::RecordWorkload(uint64_t fingerprint, bool completed,
-                                uint64_t work, uint64_t spill_work,
-                                uint64_t peak_buffered_rows,
-                                uint64_t root_rows, uint64_t wall_ns) {
-  if (options_.workload_stats == nullptr) return;
-  WorkloadObservation obs;
-  obs.completed = completed;
-  obs.work = work;
-  obs.spill_work = spill_work;
-  obs.peak_buffered_rows = peak_buffered_rows;
-  obs.root_rows = root_rows;
-  obs.wall_ns = wall_ns;
-  options_.workload_stats->Record(fingerprint, obs);
+void SqlSession::Record(const CrossRunObservation& obs) {
+  if (options_.cross_run == nullptr) return;
+  // Recording is best-effort: a log I/O failure must not fail the query —
+  // the result is already in hand. The error is surfaced as a breadcrumb.
+  Status recorded = options_.cross_run->RecordRun(obs);
+  if (!recorded.ok() && options_.metrics_registry != nullptr) {
+    options_.metrics_registry->IncrementCounter("cross_run.record_errors");
+  }
 }
 
 StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
@@ -52,10 +48,17 @@ StatusOr<std::vector<Row>> SqlSession::Execute(const std::string& query) {
   StatusOr<std::vector<Row>> rows =
       result.ok() ? StatusOr<std::vector<Row>>(std::move(result.rows))
                   : StatusOr<std::vector<Row>>(result.status);
-  RecordWorkload(TemplateFingerprint(query), rows.ok(), ctx.work(),
-                 ctx.total_spill_work(), ctx.peak_buffered_rows(),
-                 rows.ok() ? rows.value().size() : 0,
-                 MonotonicNanos() - start_ns);
+  // Unmonitored: workload figures only, under the plan's signature.
+  CrossRunObservation obs;
+  obs.fingerprint = TemplateFingerprint(query);
+  obs.plan_signature = PlanSignature(plan);
+  obs.workload.completed = rows.ok();
+  obs.workload.work = ctx.work();
+  obs.workload.spill_work = ctx.total_spill_work();
+  obs.workload.peak_buffered_rows = ctx.peak_buffered_rows();
+  obs.workload.root_rows = rows.ok() ? rows.value().size() : 0;
+  obs.workload.wall_ns = MonotonicNanos() - start_ns;
+  Record(obs);
   return rows;
 }
 
@@ -65,13 +68,15 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
   popts.partitions = options_.partitions;
   QPROG_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSql(query, *db_, popts));
   const uint64_t fingerprint = TemplateFingerprint(query);
+  const bool learn =
+      options_.cross_run != nullptr && options_.cross_run_learning;
   // Cross-run prior feedback: re-seed the plan's estimated_rows from the
   // template's observed cardinalities before any estimator sees the plan.
   // Guarded inside ApplyPriors (plan-signature match, static-bound clamp);
   // rejected priors leave a metrics breadcrumb instead of touching the plan.
-  if (options_.cross_run != nullptr && options_.cross_run_feedback) {
-    CrossRunPriorReport priors = options_.cross_run->ApplyPriors(
-        fingerprint, &plan, options_.cross_run_min_runs);
+  if (learn) {
+    CrossRunPriorReport priors =
+        options_.cross_run->ApplyPriors(fingerprint, &plan);
     if (options_.metrics_registry != nullptr) {
       MetricsRegistry* m = options_.metrics_registry;
       if (priors.nodes_reseeded > 0) {
@@ -98,11 +103,10 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
     if (spec != "auto") continue;
     if (!q.auto_pick.empty()) {
       spec = "auto:" + q.auto_pick;
-    } else if (options_.cross_run != nullptr) {
-      spec = "auto:" + options_.cross_run->SelectEstimator(
-                           fingerprint, options_.cross_run_min_runs);
+    } else if (learn) {
+      spec = "auto:" + options_.cross_run->SelectEstimator(fingerprint);
     }
-    // With no registry, bare "auto" stays — CreateEstimator wraps the
+    // Without learning, bare "auto" stays — CreateEstimator wraps the
     // dne_bounded cold fallback.
   }
   std::vector<std::unique_ptr<ProgressEstimator>> estimators;
@@ -128,18 +132,7 @@ StatusOr<ProgressReport> SqlSession::ExecuteMonitored(const std::string& query,
   uint64_t start_ns = MonotonicNanos();
   ProgressReport report = monitor.Run(interval);
   uint64_t wall_ns = MonotonicNanos() - start_ns;
-  RecordWorkload(fingerprint, report.completed(), report.total_work,
-                 report.spill_work, report.peak_buffered_rows,
-                 report.root_rows, wall_ns);
-  if (options_.cross_run != nullptr) {
-    // Recording is best-effort: a log I/O failure must not fail the query —
-    // the report is already in hand. The error is surfaced as a breadcrumb.
-    Status recorded = options_.cross_run->RecordRun(
-        BuildCrossRunObservation(fingerprint, report, wall_ns));
-    if (!recorded.ok() && options_.metrics_registry != nullptr) {
-      options_.metrics_registry->IncrementCounter("cross_run.record_errors");
-    }
-  }
+  Record(BuildCrossRunObservation(fingerprint, report, wall_ns, learn));
   return report;
 }
 

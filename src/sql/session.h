@@ -13,11 +13,14 @@
 // which owns one SqlSession per connection and wires per-session guards and
 // spill managers into these options.
 //
-// When a WorkloadStatsRegistry is attached, every run (monitored or not)
-// records its template fingerprint and resource figures, growing the priors
-// the admission controller predicts from. The wall-clock figure is the only
-// nondeterministic field; admission decisions never read it (it feeds the
-// predicted-wait *hint* only), so a fixed seed still yields fixed decisions.
+// When a CrossRunRegistry is attached, every run (monitored or not) records
+// one observation into it under its template fingerprint: a completed
+// monitored run its full history when cross_run_learning is on, any other
+// run its resource figures only (obs/cross_run_registry.h). Those figures
+// are the priors the admission controller predicts from. The wall-clock
+// figure is the only nondeterministic field; admission decisions never read
+// it (it feeds the predicted-wait *hint* only), so a fixed seed still
+// yields fixed decisions.
 
 #ifndef QPROG_SQL_SESSION_H_
 #define QPROG_SQL_SESSION_H_
@@ -30,7 +33,6 @@
 #include "common/statusor.h"
 #include "core/monitor.h"
 #include "obs/cross_run_registry.h"
-#include "obs/workload_stats.h"
 #include "sql/planner.h"
 #include "storage/catalog.h"
 
@@ -56,20 +58,16 @@ struct SessionOptions : ExecutionConfig {
   SpillManager* spill_manager = nullptr;
   TelemetryCollector* telemetry = nullptr;
   MetricsRegistry* metrics_registry = nullptr;
-  /// Per-template priors sink; shared across sessions (thread-safe).
-  WorkloadStatsRegistry* workload_stats = nullptr;
-  /// Cross-run estimator registry (obs/cross_run_registry.h); shared across
-  /// sessions (thread-safe). When attached, every monitored run records a
-  /// CrossRunObservation, plans are re-seeded from observed cardinality
-  /// priors before execution (unless cross_run_feedback is off), and an
-  /// "auto" estimator spec resolves to the template's historically-best
-  /// fixed estimator.
+  /// Per-template history (obs/cross_run_registry.h); shared across
+  /// sessions (thread-safe). When attached, every run records one
+  /// observation into it.
   CrossRunRegistry* cross_run = nullptr;
-  /// Re-seed estimated_rows from cross-run priors on plan construction.
-  bool cross_run_feedback = true;
-  /// Completed runs a template needs before its priors are trusted — the k
-  /// of both prior feedback and auto-selection warmth.
-  uint64_t cross_run_min_runs = 3;
+  /// Learn from `cross_run`: plans are re-seeded from observed cardinality
+  /// priors before execution, an "auto" estimator spec resolves to the
+  /// template's historically-best fixed estimator, and completed monitored
+  /// runs record their full history. Off, runs record workload figures only
+  /// and execute exactly as without a registry.
+  bool cross_run_learning = true;
   /// Wall-clock ETA model for monitored runs; each checkpoint then carries
   /// a calibrated [eta_lo, eta, eta_hi] band. Like the rest of the
   /// environment, borrowed — and single-threaded, so one model serves one
@@ -122,9 +120,8 @@ class SqlSession {
   uint64_t queries_run() const { return queries_run_; }
 
  private:
-  void RecordWorkload(uint64_t fingerprint, bool completed, uint64_t work,
-                      uint64_t spill_work, uint64_t peak_buffered_rows,
-                      uint64_t root_rows, uint64_t wall_ns);
+  /// Records one run into options_.cross_run (if attached), best-effort.
+  void Record(const CrossRunObservation& obs);
 
   const Database* db_;
   SessionOptions options_;

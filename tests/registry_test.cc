@@ -36,7 +36,6 @@
 #include "exec/scan.h"
 #include "obs/cross_run_registry.h"
 #include "obs/metrics_registry.h"
-#include "obs/workload_stats.h"
 #include "server/query_server.h"
 #include "sql/fingerprint.h"
 #include "sql/session.h"
@@ -762,32 +761,80 @@ TEST(CrossRunRegistryTest, ApplyPriorsColdTemplateIsANoOp) {
   EXPECT_EQ(report.nodes_reseeded, 0);
 }
 
-TEST(CrossRunRegistryTest, WorkloadStatsRoundTripMatchesDirectRecording) {
+TEST(CrossRunRegistryTest, CompactAndReopenReproduceWorkloadFigures) {
+  std::string path = TempPath("workload_compact");
+  std::filesystem::remove(path);
   Table t = Numbers(1000);
   PhysicalPlan plan = ScanFilterPlan(&t);
-  CrossRunRegistry registry;
-  WorkloadStatsRegistry direct;
-  for (int i = 0; i < 5; ++i) {
-    CrossRunObservation obs = MakeObs(3, plan, 100 + 10 * i);
-    obs.workload.work = 1000 + static_cast<uint64_t>(i);
-    obs.workload.peak_buffered_rows = 64 + static_cast<uint64_t>(8 * i);
-    registry.Record(obs);
-    direct.Record(3, obs.workload);
+  WorkloadStats want;
+  {
+    CrossRunRegistry registry;
+    ASSERT_TRUE(registry.OpenLog(path).ok());
+    for (int i = 0; i < 6; ++i) {
+      CrossRunObservation obs = MakeObs(3, plan, 100 + 10 * i);
+      obs.workload.work = 1000 + static_cast<uint64_t>(i);
+      obs.workload.spill_work = 7 * static_cast<uint64_t>(i);
+      obs.workload.peak_buffered_rows = 64 + static_cast<uint64_t>(8 * i);
+      obs.workload.wall_ns = 5000 + static_cast<uint64_t>(i);
+      if (i % 2 == 1) {
+        // Workload-only (unmonitored or aborted) runs fold in too.
+        obs.completed = false;
+        obs.workload.completed = i != 5;
+        obs.nodes.clear();
+      }
+      ASSERT_TRUE(registry.RecordRun(obs).ok());
+    }
+    want = registry.LookupWorkload(3);
+    ASSERT_TRUE(registry.Compact().ok());
   }
-  WorkloadStatsRegistry exported;
-  registry.ExportWorkloadStats(&exported);
-
-  WorkloadStats want = direct.Lookup(3);
-  WorkloadStats got = exported.Lookup(3);
-  // The admission controller predicts from these aggregates; recovery must
-  // reproduce them exactly, figure for figure.
+  CrossRunRegistry reopened;
+  RegistryRecoveryReport report;
+  ASSERT_TRUE(reopened.OpenLog(path, {}, &report).ok());
+  EXPECT_EQ(report.records_recovered, 1u);
+  // The admission controller predicts from these aggregates; compaction and
+  // recovery must reproduce them exactly, figure for figure.
+  WorkloadStats got = reopened.LookupWorkload(3);
+  EXPECT_EQ(want.runs, 6u);
+  EXPECT_EQ(want.completed_runs, 5u);
   EXPECT_EQ(got.runs, want.runs);
   EXPECT_EQ(got.completed_runs, want.completed_runs);
   EXPECT_EQ(got.total_work, want.total_work);
+  EXPECT_EQ(got.total_spill_work, want.total_spill_work);
+  EXPECT_EQ(got.total_root_rows, want.total_root_rows);
+  EXPECT_EQ(got.total_wall_ns, want.total_wall_ns);
   EXPECT_EQ(got.total_peak_buffered_rows, want.total_peak_buffered_rows);
   EXPECT_EQ(got.max_peak_buffered_rows, want.max_peak_buffered_rows);
   EXPECT_EQ(got.max_work, want.max_work);
   EXPECT_EQ(got.MeanPeakBufferedRows(), want.MeanPeakBufferedRows());
+  EXPECT_EQ(reopened.LookupWorkload(4).runs, 0u);  // unseen: zero aggregate
+  std::filesystem::remove(path);
+}
+
+TEST(CrossRunRegistryTest, WorkloadOnlyObservationKeepsHistory) {
+  Table t = Numbers(1000);
+  PhysicalPlan plan = ScanFilterPlan(&t);
+  CrossRunRegistry registry;
+  for (int i = 0; i < 3; ++i) {
+    registry.Record(MakeObs(8, plan, 500, {{"pmax", 0.1}}));
+  }
+  // A workload-only observation under the same plan signature: admission
+  // figures move, node and estimator history and the warmth gate do not.
+  CrossRunObservation plain;
+  plain.fingerprint = 8;
+  plain.plan_signature = PlanSignature(plan);
+  plain.workload.completed = true;
+  plain.workload.peak_buffered_rows = 99;
+  registry.Record(plain);
+
+  CrossRunTemplateStats stats = registry.Lookup(8);
+  EXPECT_EQ(stats.runs, 4u);
+  EXPECT_EQ(stats.completed_runs, 3u);
+  EXPECT_EQ(stats.nodes.size(), plan.num_nodes());
+  EXPECT_EQ(stats.nodes.begin()->second.rows_runs, 3u);
+  EXPECT_EQ(stats.estimators.at("pmax").runs, 3u);
+  EXPECT_EQ(stats.workload.runs, 4u);
+  EXPECT_EQ(stats.workload.max_peak_buffered_rows, 99u);
+  EXPECT_EQ(registry.SelectEstimator(8), "pmax");
 }
 
 TEST(CrossRunRegistryTest, WorstOffendersRankedByRmsLogError) {
@@ -949,6 +996,46 @@ TEST_F(RegistrySqlTest, ServerResolvesAutoPickAtSubmitTime) {
   EXPECT_EQ(r.report.names[0], "auto");
   // The submit-time pick is stable against later registry updates.
   EXPECT_EQ(registry.SelectEstimator(fp), expected);
+}
+
+TEST_F(RegistrySqlTest, ServerRestartKeepsUnmonitoredAdmissionPriors) {
+  // A server that serves only unmonitored queries still records their
+  // workload figures into the log-backed registry, so a second server over
+  // the reopened log predicts the template's peak from its prior exactly as
+  // the first one did.
+  std::string path = TempPath("server_restart_unmonitored");
+  std::filesystem::remove(path);
+  SubmitOptions plain;
+  plain.monitored = false;
+  AdmissionDecision before;
+  {
+    CrossRunRegistry registry;
+    ASSERT_TRUE(registry.OpenLog(path).ok());
+    ServerOptions opts;
+    opts.sessions = 1;
+    opts.cross_run = &registry;
+    QueryServer server(db_, opts);
+    for (int i = 0; i < 3; ++i) {
+      QueryResult r =
+          server.Wait(server.Submit("acme", kRegistryQuery, plain));
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      ASSERT_FALSE(r.rows.empty());
+    }
+    before =
+        server.Wait(server.Submit("acme", kRegistryQuery, plain)).admission;
+    ASSERT_TRUE(before.predicted_from_prior);
+  }
+  CrossRunRegistry reopened;
+  ASSERT_TRUE(reopened.OpenLog(path).ok());
+  ServerOptions opts;
+  opts.sessions = 1;
+  opts.cross_run = &reopened;
+  QueryServer server(db_, opts);
+  QueryResult after = server.Wait(server.Submit("acme", kRegistryQuery, plain));
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_TRUE(after.admission.predicted_from_prior);
+  EXPECT_EQ(after.admission.predicted_peak_rows, before.predicted_peak_rows);
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "exec/fault_injector.h"
 #include "exec/query_guard.h"
 #include "exec/spill.h"
+#include "obs/cross_run_registry.h"
 #include "server/admission.h"
 #include "server/memory_governor.h"
 #include "server/query_server.h"
@@ -199,14 +200,15 @@ TEST(AdmissionTest, ColdPredictionIsDeterministicPerSeed) {
 }
 
 TEST(AdmissionTest, PriorPredictionUsesMaxPeakWithHeadroom) {
-  WorkloadStatsRegistry priors;
+  CrossRunRegistry priors;
   uint64_t fp = sql::TemplateFingerprint("SELECT v FROM t WHERE k = 1");
-  WorkloadObservation obs;
-  obs.completed = true;
-  obs.peak_buffered_rows = 100;
-  priors.Record(fp, obs);
-  obs.peak_buffered_rows = 400;
-  priors.Record(fp, obs);
+  CrossRunObservation obs;
+  obs.fingerprint = fp;
+  obs.workload.completed = true;
+  obs.workload.peak_buffered_rows = 100;
+  priors.Record(obs);
+  obs.workload.peak_buffered_rows = 400;
+  priors.Record(obs);
   AdmissionOptions opts;
   opts.headroom = 1.25;
   AdmissionController ctrl(opts, &priors);
@@ -305,7 +307,7 @@ TEST_F(QueryServerTest, MonitoredQueryCompletesAndFeedsPriors) {
   EXPECT_FALSE(r.report.checkpoints.empty());
   EXPECT_EQ(r.admission.action, AdmissionAction::kAdmit);
   EXPECT_FALSE(r.admission.predicted_from_prior);  // cold template
-  EXPECT_EQ(server.workload_stats().num_templates(), 1u);
+  EXPECT_EQ(server.cross_run().num_templates(), 1u);
 
   // The same template again: predicted from the recorded prior now.
   uint64_t second = server.Submit("acme", kGroupQuery);
@@ -590,63 +592,124 @@ TEST_F(QueryServerTest, MidRunRevocationKeepsBoundsAndResult) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkloadStatsRegistry under concurrency (run under TSan in CI)
+// Per-template history under concurrency (run under TSan in CI)
 
-TEST(WorkloadStatsConcurrencyTest, SnapshotIsConsistentUnderConcurrentFeedback) {
-  // Sessions record feedback while the admission path snapshots: every
-  // Snapshot() must observe internally consistent aggregates (no torn
-  // WorkloadStats), and the final state must contain every record.
-  WorkloadStatsRegistry registry;
+TEST(WorkloadStatsConcurrencyTest,
+     AggregatesAreConsistentUnderConcurrentFeedback) {
+  // Sessions record workload-only and full observations while the admission
+  // path polls the workload accessor and Lookup: every read must observe an
+  // internally consistent aggregate (no torn WorkloadStats, workload and
+  // history folded together), and the final state must contain every record.
+  CrossRunRegistry registry;
   constexpr int kWriters = 4;
   constexpr int kRecordsPerWriter = 500;
   constexpr uint64_t kTemplates = 8;
+  constexpr uint64_t kSignature = 77;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&registry, w] {
       for (int i = 0; i < kRecordsPerWriter; ++i) {
-        WorkloadObservation obs;
-        obs.completed = (i % 3) != 0;
-        obs.work = 100;
-        obs.peak_buffered_rows = 10;
-        obs.wall_ns = 1000;
-        registry.Record(static_cast<uint64_t>(w * kRecordsPerWriter + i) %
-                            kTemplates,
-                        obs);
+        CrossRunObservation obs;
+        obs.fingerprint =
+            static_cast<uint64_t>(w * kRecordsPerWriter + i) % kTemplates;
+        obs.plan_signature = kSignature;
+        obs.workload.completed = (i % 3) != 0;
+        obs.workload.work = 100;
+        obs.workload.peak_buffered_rows = 10;
+        obs.workload.wall_ns = 1000;
+        if (i % 2 == 0) {
+          // Full observation: a completed run's node history.
+          obs.workload.completed = true;
+          obs.completed = true;
+          CrossRunObservation::Node node;
+          node.node_id = 0;
+          node.actual_rows = 5;
+          obs.nodes.push_back(node);
+        }
+        ASSERT_TRUE(registry.RecordRun(obs).ok());
       }
     });
   }
   std::thread reader([&registry, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
-      std::vector<WorkloadStatsRegistry::SnapshotEntry> snap =
-          registry.Snapshot();
-      uint64_t prev_fp = 0;
-      bool first = true;
-      for (const auto& entry : snap) {
-        // Sorted, and every aggregate self-consistent: a torn read would
-        // break runs >= completed_runs or the fixed per-record figures.
-        if (!first) EXPECT_GT(entry.fingerprint, prev_fp);
-        first = false;
-        prev_fp = entry.fingerprint;
-        EXPECT_GE(entry.stats.runs, entry.stats.completed_runs);
-        EXPECT_EQ(entry.stats.total_work, entry.stats.runs * 100);
-        EXPECT_EQ(entry.stats.total_peak_buffered_rows,
-                  entry.stats.runs * 10);
+      for (uint64_t fp = 0; fp < kTemplates; ++fp) {
+        // A torn read would break runs >= completed_runs or the fixed
+        // per-record figures.
+        WorkloadStats w = registry.LookupWorkload(fp);
+        EXPECT_GE(w.runs, w.completed_runs);
+        EXPECT_EQ(w.total_work, w.runs * 100);
+        EXPECT_EQ(w.total_peak_buffered_rows, w.runs * 10);
+        EXPECT_EQ(w.max_peak_buffered_rows, w.runs > 0 ? 10u : 0u);
+        CrossRunTemplateStats t = registry.Lookup(fp);
+        EXPECT_EQ(t.runs, t.workload.runs);
+        EXPECT_LE(t.completed_runs, t.workload.completed_runs);
+        // Workload-only observations never wipe the node history.
+        uint64_t node_runs = t.nodes.empty() ? 0 : t.nodes.at(0).rows_runs;
+        EXPECT_EQ(node_runs, t.completed_runs);
       }
-      registry.Lookup(0);  // concurrent point reads too
     }
   });
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  std::vector<WorkloadStatsRegistry::SnapshotEntry> final_snap =
-      registry.Snapshot();
-  ASSERT_EQ(final_snap.size(), kTemplates);
-  uint64_t total_runs = 0;
-  for (const auto& entry : final_snap) total_runs += entry.stats.runs;
+  ASSERT_EQ(registry.num_templates(), kTemplates);
+  uint64_t total_runs = 0, total_completed = 0, total_full = 0;
+  for (uint64_t fp = 0; fp < kTemplates; ++fp) {
+    WorkloadStats w = registry.LookupWorkload(fp);
+    CrossRunTemplateStats t = registry.Lookup(fp);
+    EXPECT_EQ(t.plan_signature, kSignature);
+    EXPECT_EQ(w.total_wall_ns, w.runs * 1000);
+    total_runs += w.runs;
+    total_completed += w.completed_runs;
+    total_full += t.completed_runs;
+  }
+  // Per writer: 250 full (even i) plus the odd i not divisible by 3.
+  uint64_t completed_per_writer = 0, full_per_writer = 0;
+  for (int i = 0; i < kRecordsPerWriter; ++i) {
+    if (i % 2 == 0) ++full_per_writer;
+    if (i % 2 == 0 || i % 3 != 0) ++completed_per_writer;
+  }
   EXPECT_EQ(total_runs, static_cast<uint64_t>(kWriters) * kRecordsPerWriter);
+  EXPECT_EQ(total_completed, kWriters * completed_per_writer);
+  EXPECT_EQ(total_full, kWriters * full_per_writer);
+}
+
+TEST_F(QueryServerTest, ServerWithoutRegistryRecordsWorkloadOnly) {
+  // No caller registry: every run lands in the server's own store as a
+  // workload-only observation. Nothing is learned — no node or estimator
+  // history, no auto resolution — so plans and reports are exactly those of
+  // a server that keeps no history at all.
+  ServerOptions opts;
+  opts.sessions = 1;
+  opts.checkpoint_interval = 100;
+  opts.estimators = {"dne", "auto"};
+  QueryServer server(db_, opts);
+  for (int i = 0; i < 4; ++i) {
+    QueryResult r = server.Wait(server.Submit("acme", kGroupQuery));
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    ASSERT_EQ(r.report.names.size(), 2u);
+    EXPECT_EQ(r.report.names[1], "auto");
+  }
+  SubmitOptions plain;
+  plain.monitored = false;
+  QueryResult unmonitored =
+      server.Wait(server.Submit("acme", kGroupQuery, plain));
+  ASSERT_TRUE(unmonitored.status.ok()) << unmonitored.status;
+
+  uint64_t fp = sql::TemplateFingerprint(kGroupQuery);
+  CrossRunTemplateStats stats = server.cross_run().Lookup(fp);
+  EXPECT_EQ(stats.runs, 5u);
+  EXPECT_EQ(stats.completed_runs, 0u);
+  EXPECT_TRUE(stats.nodes.empty());
+  EXPECT_TRUE(stats.estimators.empty());
+  EXPECT_EQ(stats.workload.runs, 5u);
+  EXPECT_EQ(stats.workload.completed_runs, 5u);
+  for (const FleetQueryInfo& q : server.Fleet().queries) {
+    EXPECT_TRUE(q.auto_pick.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
